@@ -89,15 +89,15 @@ class SfftPlan:
         The workspace precomputes the ``(L, w)`` gather-index matrix, the
         padded ``(rounds, B)`` tap matrix, and reusable scratch buffers —
         see :mod:`repro.core.workspace`.  Cached per plan object, so
-        repeated executions of one plan allocate nothing on the hot path.
+        repeated executions of one plan allocate only a chunk-sized
+        gather buffer on the hot path.
         Not thread-safe (shared scratch); concurrent executors should
         construct a private ``PlanWorkspace(plan)`` each.
         """
         if self._workspace is None:
             from .workspace import PlanWorkspace
 
-            # frozen dataclass: the cache slot is set through the back door
-            # (the same idiom FlatFilter uses for its derived arrays).
+            # frozen dataclass: the cache slot is set through the back door.
             object.__setattr__(self, "_workspace", PlanWorkspace(self))
         return self._workspace
 

@@ -9,9 +9,18 @@ candidates repeat rarely.  Keeping candidates with at least
 ``vote_threshold`` votes across the ``L`` loops is the paper's
 ``I' = { i : s_i > L/2 }``.
 
+A loop votes at most once per frequency, and that needs no sort of the
+``m*n/B`` candidates: the bucket regions ``[J*n/B - n/(2B), (J+1)*n/B -
+n/(2B))`` tile ``[0, n)`` (mod ``n``) without overlap, and multiplying by
+``sigma^{-1}`` is a bijection mod ``n``, so *distinct* buckets yield
+disjoint candidate sets.  Deduplicating the at most ``m`` selected bucket
+indices is therefore enough, after which the candidates scatter straight
+into the scores.
+
 The GPU kernel (Algorithm 4) does exactly this with one thread per selected
 bucket and ``atomicAdd`` on a length-``n`` score array; here the votes are a
-vectorized ``np.add.at`` — the same scatter-add, minus the hardware.
+vectorized fancy-index increment — the same scatter-add, minus the
+hardware, and safe without ``np.add.at`` because no index repeats.
 """
 
 from __future__ import annotations
@@ -33,10 +42,11 @@ __all__ = [
 def _distinct_int64(values: np.ndarray) -> np.ndarray:
     """Distinct values of a 1-D int64 array, ascending — sort-based.
 
-    Semantically ``np.unique``, but routed through an explicit sort: on
-    NumPy builds where ``unique`` takes a hash-table path, the sort is an
-    order of magnitude faster at the candidate volumes voting produces
-    (tens of thousands to a few hundred thousand int64 keys per loop).
+    Semantically ``np.unique``, but routed through an explicit sort, which
+    has a fraction of ``unique``'s fixed cost on the few dozen to few
+    hundred bucket keys a loop selects, and on NumPy builds where
+    ``unique`` takes a hash-table path is an order of magnitude faster at
+    the larger volumes :meth:`VoteAccumulator.add_loop_votes` sees.
     """
     if values.size <= 1:
         return values
@@ -54,10 +64,11 @@ def candidate_frequencies(
 ) -> np.ndarray:
     """Original-domain candidate frequencies for the selected buckets.
 
-    Returns a flat int64 array of ``len(selected) * (n//B)`` candidates
-    (duplicates possible when regions abut).  Mirrors Algorithm 4's
+    Returns a flat int64 array of ``len(selected) * (n//B)`` candidates,
+    one block of ``n//B`` per selected bucket; distinct buckets give
+    disjoint blocks (see the module docstring).  Mirrors Algorithm 4's
     ``low``/``high`` region and ``loc = (low + j) * a % n`` walk, in closed
-    form.
+    form — with a mask in place of ``% n`` when ``n`` is a power of two.
     """
     n = perm.n
     if B < 1 or n % B != 0:
@@ -71,11 +82,17 @@ def candidate_frequencies(
     if np.any((J < 0) | (J >= B)):
         raise ParameterError("bucket indices out of range")
     # ceil((J - 0.5) * n/B) == J*n_div_b - n_div_b//2 in exact integer
-    # arithmetic (n_div_b is a power of two), avoiding float rounding at big n.
+    # arithmetic, avoiding float rounding at big n.
     low = J * n_div_b - n_div_b // 2
-    offsets = np.arange(n_div_b, dtype=np.int64)
-    permuted = (low[:, None] + offsets[None, :]) % n
-    return ((permuted * perm.sigma_inv) % n).ravel()
+    cands = low[:, None] + np.arange(n_div_b, dtype=np.int64)
+    cands *= perm.sigma_inv
+    if n & (n - 1) == 0:
+        # Two's complement: the low bits of the (possibly negative)
+        # product are the product mod n.
+        cands &= n - 1
+    else:
+        cands %= n
+    return cands.ravel()
 
 
 class VoteAccumulator:
@@ -84,6 +101,13 @@ class VoteAccumulator:
     A dense ``int16`` score array — the direct analog of the GPU kernel's
     ``score[n]`` buffer (Algorithm 4).  ``int16`` suffices because scores
     are bounded by the loop count.
+
+    :meth:`add_loop_votes` takes arbitrary candidates (repeats allowed) and
+    pays for a sort to vote once per frequency.  The hot path,
+    :func:`recover_locations`, needs no candidate sort: it deduplicates a
+    loop's selected *buckets* instead, because distinct buckets own
+    disjoint candidate regions and ``sigma^{-1}`` maps disjoint sets to
+    disjoint sets, and scatters into :attr:`scores` directly.
 
     ``scores_out`` lets a caller supply the buffer (the per-plan workspace
     keeps one resident so the hot path allocates nothing); it is zeroed on
@@ -155,10 +179,13 @@ def recover_locations(
             raise ParameterError("residue_filter must be a 1-D boolean mask")
     acc = VoteAccumulator(permutations[0].n, scores_out=scores_out)
     for sel, perm in zip(selected_per_loop, permutations):
-        cands = candidate_frequencies(sel, perm, B)
+        # One vote per frequency per loop: distinct buckets, distinct
+        # candidates (module docstring).
+        buckets = _distinct_int64(np.asarray(sel, dtype=np.int64))
+        cands = candidate_frequencies(buckets, perm, B)
         if residue_filter is not None and cands.size:
             cands = cands[residue_filter[cands % residue_filter.size]]
-        acc.add_loop_votes(cands)
+        acc.scores[cands] += 1
     hits = acc.hits(vote_threshold)
     return hits, acc.scores[hits].astype(np.int64)
 
@@ -179,10 +206,11 @@ def recover_locations_stack(
     ``selected[s][r]`` holds signal ``s``'s selected buckets in loop ``r``
     (the loops share one permutation schedule — that is what "one plan"
     means).  Instead of ``S`` separate accumulators, one flat ``(S * n)``
-    ``int16`` score array votes for all signals at once: per loop, every
-    signal's candidate frequencies are offset by ``s * n`` and deduplicated
-    in a single pass over the whole batch, so the sort + scatter-add runs
-    once per loop rather than once per ``(signal, loop)``.
+    ``int16`` score array votes for all signals at once: per loop, the
+    selected buckets of every signal are keyed ``s * B + J`` and
+    deduplicated in one vectorised pass (at most ``S * m`` keys), and their
+    candidates, offset by ``s * n``, scatter straight into the scores —
+    distinct keys own disjoint candidates, as in :func:`recover_locations`.
 
     ``residue_filters`` is the optional per-signal Comb screen, one boolean
     mask row per signal (masks are data-dependent, so they cannot be shared
@@ -208,31 +236,26 @@ def recover_locations_stack(
                 f"residue_filters must be (S, W) boolean, got {masks.shape}"
             )
     n = permutations[0].n
+    if B < 1 or n % B != 0:
+        raise ParameterError(f"B={B} must divide n={n}")
+    n_div_b = n // B
     scores = np.zeros(S * n, dtype=np.int16)
     for r, perm in enumerate(permutations):
-        sizes = [np.asarray(selected[s][r]).size for s in range(S)]
+        rows = [np.asarray(selected[s][r], dtype=np.int64) for s in range(S)]
+        sizes = [row.size for row in rows]
         if not any(sizes):
             continue
-        buckets = np.concatenate(
-            [np.asarray(selected[s][r], dtype=np.int64) for s in range(S)]
-        )
+        buckets = np.concatenate(rows)
+        if np.any((buckets < 0) | (buckets >= B)):
+            raise ParameterError("bucket indices out of range")
         sig_idx = np.repeat(np.arange(S, dtype=np.int64), sizes)
-        cands = candidate_frequencies(buckets, perm, B).reshape(
-            buckets.size, n // B
-        )
-        flat_sig = np.repeat(sig_idx, n // B)
-        flat = cands.ravel()
+        sig_idx, buckets = np.divmod(_distinct_int64(sig_idx * B + buckets), B)
+        cands = candidate_frequencies(buckets, perm, B)
+        sig_rows = np.repeat(sig_idx, n_div_b)
         if masks is not None:
-            keep = masks[flat_sig, flat % masks.shape[1]]
-            flat = flat[keep]
-            flat_sig = flat_sig[keep]
-        if flat.size == 0:
-            continue
-        # One vote per distinct (signal, frequency) pair per loop: the
-        # signal offset folds the whole batch into one key space, so a
-        # single dedupe + scatter-add covers all S signals.
-        uniq = _distinct_int64(flat_sig * n + flat)
-        scores[uniq] += 1
+            keep = masks[sig_rows, cands % masks.shape[1]]
+            cands, sig_rows = cands[keep], sig_rows[keep]
+        scores[sig_rows * n + cands] += 1
     per_signal = scores.reshape(S, n)
     hits = [np.flatnonzero(per_signal[s] >= vote_threshold).astype(np.int64)
             for s in range(S)]

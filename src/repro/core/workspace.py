@@ -17,10 +17,16 @@ For one plan the workspace precomputes
   ``int16`` vote-score array the recovery step accumulates into.
 
 With those in place, :meth:`PlanWorkspace.bin_fused` performs the paper's
-steps 1-2 for *all* ``L`` loops as one fancy-indexed gather plus one
-reshape-sum — no Python-level loop over loops, no per-call allocation — and
-:meth:`PlanWorkspace.bin_fused_stack` extends the same fusion over a stack
-of ``S`` signals for the batched engine (:mod:`repro.core.batch`).
+steps 1-2 for *all* ``L`` loops — gather, tap multiply, reshape-sum fold —
+and :meth:`PlanWorkspace.bin_fused_stack` extends the same kernel over a
+stack of ``S`` signals for the batched engine (:mod:`repro.core.batch`).
+Both, and the :data:`GATHER_ELEMENT_CAP` fallback, run one chunked loop
+(:meth:`PlanWorkspace._gather_fold`) over ``(signal, loop)`` rows: every
+gather lands in one buffer of at most :data:`STACK_CHUNK_ELEMENTS`
+elements (or one row, if a row is longer), so no call materialises the
+``(L, rounds*B)`` — let alone ``(S, L, rounds*B)`` — gathered intermediate.
+Chunks hold whole rows, so each row folds in the same order, and to the
+same bits, whatever the chunk size.
 
 This is the CPU analog of ``cusim``'s
 :class:`~repro.cusim.memory_pool.DeviceMemoryPool`: device codes keep
@@ -60,12 +66,15 @@ __all__ = ["PlanWorkspace", "GATHER_ELEMENT_CAP"]
 #: the signal itself in footprint (int64 gather entries are 8 bytes each).
 GATHER_ELEMENT_CAP = 1 << 25
 
-#: Per-chunk budget (complex elements) for the stacked gather intermediate.
-#: One giant ``(S, L, w)`` gather output defeats the cache it is trying to
-#: feed — measured on the bench workload (n=2^18, S=16), whole-stack
-#: gathers run ~3x slower than cache-sized chunks.  2^17 complex elements
-#: is 2 MB: small plans still gather many signals per chunk, large plans
-#: degrade gracefully to one signal at a time.
+#: Per-chunk budget (complex elements) for every gather intermediate,
+#: single-signal or stacked.  The gather/tap/fold kernel walks the
+#: ``(signal, loop)`` rows in chunks of whole rows whose gathered samples
+#: fit this budget (at least one row per chunk), reusing one buffer.  One
+#: giant gather output defeats the cache it is trying to feed and, at
+#: large ``n``, costs a fresh multi-MB allocation per call — measured at
+#: n=2^22, the ``(L, w)`` gather took 66 MB per call where one row takes
+#: 6.5 MB.  2^17 complex elements is 2 MB: small plans gather all loops (or
+#: several signals) per chunk, large plans degrade to one row at a time.
 STACK_CHUNK_ELEMENTS = 1 << 17
 
 
@@ -286,22 +295,60 @@ class PlanWorkspace:
     # -- fused binning -----------------------------------------------------
 
     @shape_contract(
+        "X:(S, n), out:(S*L, B) -> (S*L, B)", dtype="complex128",
+        bind={"n": "self.n", "L": "self.loops", "B": "self.B",
+              "rounds": "self.rounds"},
+        attrs={"self.taps_flat": "(rounds*B,):complex128",
+               "self._padded": "rounds*B"},
+    )
+    def _gather_fold(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Gather, tap and fold every ``(signal, loop)`` row of ``X``.
+
+        Row ``s*L + r`` of ``out`` receives signal ``s`` binned through
+        loop ``r``.  Rows are processed in chunks of whole rows bounded by
+        :data:`STACK_CHUNK_ELEMENTS`, all gathered into one reused buffer;
+        a chunk may span a signal boundary, costing one extra ``take``.
+        ``mode="wrap"`` is a no-op on the always-valid indices but lets
+        ``take`` write straight into ``out=`` (the default ``"raise"``
+        gathers into a temporary first).
+        """
+        L, B, padded = self.loops, self.B, self._padded
+        total = X.shape[0] * L
+        per_chunk = max(1, min(total, STACK_CHUNK_ELEMENTS // padded))
+        buf = np.empty((per_chunk, padded), dtype=np.complex128)
+        taps, gather = self.taps_flat, self.gather
+        for lo in range(0, total, per_chunk):
+            hi = min(lo + per_chunk, total)
+            y = buf[: hi - lo]
+            row = lo
+            while row < hi:
+                s, r = divmod(row, L)
+                stop = min(hi - row, L - r)
+                # Above GATHER_ELEMENT_CAP the index rows regenerate here.
+                idx = gather[r:r + stop] if gather is not None else np.stack(
+                    [self._gather_row(q) for q in range(r, r + stop)])
+                np.take(X[s], idx, out=y[row - lo: row - lo + stop],
+                        mode="wrap")
+                row += stop
+            y *= taps
+            np.sum(y.reshape(hi - lo, self.rounds, B), axis=1,
+                   out=out[lo:hi])
+        return out
+
+    @shape_contract(
         "x:(n,) -> (L, B)", dtype="complex128",
         bind={"n": "self.n", "L": "self.loops", "B": "self.B",
               "rounds": "self.rounds"},
-        attrs={"self.raw": "(L, B):complex128",
-               "self.gather": "(L, rounds*B):int64",
-               "self.taps_flat": "(rounds*B,):complex128",
-               "self._padded": "rounds*B"},
+        attrs={"self.raw": "(L, B):complex128"},
     )
     def bin_fused(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Steps 1-2 for all ``L`` loops at once: gather, tap, fold.
+        """Steps 1-2 for all ``L`` loops: gather, tap, fold.
 
-        One ``(L, rounds*B)`` fancy-indexed gather replaces the per-loop
-        binner calls; the reshape-sum fold produces the same ``(L, B)``
-        bucket matrix as ``L`` :func:`~repro.core.binning.bin_vectorized`
-        calls (row for row).  With ``out`` omitted the plan-owned scratch
-        is reused, so steady-state executions allocate nothing here.
+        Produces the same ``(L, B)`` bucket matrix as ``L``
+        :func:`~repro.core.binning.bin_vectorized` calls (row for row)
+        through the chunked kernel :meth:`_gather_fold`.  With ``out``
+        omitted the plan-owned scratch is reused, so steady-state
+        executions allocate only the chunk buffer.
         """
         if x.size != self.n:
             raise ParameterError(
@@ -312,61 +359,32 @@ class PlanWorkspace:
             raise ParameterError(
                 f"out must have shape {(self.loops, self.B)}, got {buckets.shape}"
             )
-        gather = self.gather
-        if gather is not None:
-            y = x[gather]
-            y *= self.taps_flat
-            np.sum(y.reshape(self.loops, self.rounds, self.B), axis=1,
-                   out=buckets)
-        else:
-            taps = self.taps_flat
-            for r in range(self.loops):
-                y = x[self._gather_row(r)]
-                y *= taps
-                np.sum(y.reshape(self.rounds, self.B), axis=0,
-                       out=buckets[r])
+        x = np.asarray(x, dtype=np.complex128)
+        self._gather_fold(x.reshape(1, self.n), buckets)
         return buckets
 
     @shape_contract(
         "X:(S, n) -> (S, L, B)", dtype="complex128",
-        bind={"n": "self.n", "L": "self.loops", "B": "self.B",
-              "rounds": "self.rounds"},
-        attrs={"self.gather": "(L, rounds*B):int64",
-               "self.taps_flat": "(rounds*B,):complex128",
-               "self._padded": "rounds*B"},
+        bind={"n": "self.n", "L": "self.loops", "B": "self.B"},
     )
     def bin_fused_stack(self, X: np.ndarray) -> np.ndarray:
         """Fused binning over an ``(S, n)`` signal stack -> ``(S, L, B)``.
 
-        Per-signal rows are identical to :meth:`bin_fused` on that signal;
-        the stack form exists so the batched engine gathers whole chunks of
-        the batch at once.  Chunking (see :data:`STACK_CHUNK_ELEMENTS`)
-        bounds the gather intermediate so the fold stays cache-resident
-        even for large stacks.
+        Per-signal rows are identical to :meth:`bin_fused` on that signal:
+        the same kernel runs over all ``S*L`` ``(signal, loop)`` rows, so
+        a chunk (see :data:`STACK_CHUNK_ELEMENTS`) may hold several
+        signals at small ``n`` and a single loop of one signal at large
+        ``n``.
         """
-        X = np.asarray(X)
+        X = np.asarray(X, dtype=np.complex128)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ParameterError(
                 f"signal stack must be (S, {self.n}), got {X.shape}"
             )
         S = X.shape[0]
-        gather = self.gather
-        out = np.empty((S, self.loops, self.B), dtype=np.complex128)
-        if gather is None:
-            for s in range(S):
-                self.bin_fused(X[s], out=out[s])
-            return out
-        per_signal = self.loops * self._padded
-        chunk = max(1, STACK_CHUNK_ELEMENTS // per_signal)
-        for lo in range(0, S, chunk):
-            hi = min(lo + chunk, S)
-            y = X[lo:hi, gather]
-            y *= self.taps_flat
-            np.sum(
-                y.reshape(hi - lo, self.loops, self.rounds, self.B), axis=2,
-                out=out[lo:hi],
-            )
-        return out
+        out = np.empty((S * self.loops, self.B), dtype=np.complex128)
+        self._gather_fold(X, out)
+        return out.reshape(S, self.loops, self.B)
 
     @shape_contract(
         "x:(n,) -> (L, B)", dtype="complex128",

@@ -16,7 +16,7 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,6 @@ class FlatFilter:
     lobefrac: float
     tolerance: float
     box_width: int
-    _freq_abs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.time.ndim != 1 or self.freq.ndim != 1:
@@ -76,7 +75,6 @@ class FlatFilter:
             raise FilterDesignError(
                 f"filter support {self.time.size} exceeds signal size {self.n}"
             )
-        object.__setattr__(self, "_freq_abs", np.abs(self.freq))
 
     @property
     def width(self) -> int:
@@ -98,7 +96,7 @@ class FlatFilter:
         tests can assert the construction met its contract.
         """
         half = self.n // 2
-        mags = self._freq_abs
+        mags = np.abs(self.freq[:half])
         # Walk outward from DC until the response first drops below 0.5.
         for d in range(1, half):
             if mags[d] < 0.5:
@@ -109,6 +107,6 @@ class FlatFilter:
         """Max ``|freq|`` at offsets with ``beyond <= |offset| <= n/2``."""
         if beyond >= self.n // 2:
             return 0.0
-        mags = self._freq_abs
-        hi = self.n - beyond
-        return float(max(mags[beyond : self.n // 2 + 1].max(), mags[self.n // 2 : hi + 1].max()))
+        # Offsets beyond..n/2 and their negatives n/2..n-beyond form one
+        # contiguous run of the length-n response.
+        return float(np.abs(self.freq[beyond : self.n - beyond + 1]).max())

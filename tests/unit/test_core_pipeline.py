@@ -20,6 +20,7 @@ from repro.core import (
     permuted_indices,
     random_permutation,
     recover_locations,
+    recover_locations_stack,
     select_threshold,
     select_topk,
     subsample_spectrum,
@@ -233,6 +234,84 @@ class TestRecovery:
         perm = random_permutation(64, np.random.default_rng(0))
         with pytest.raises(ParameterError):
             candidate_frequencies(np.array([99]), perm, 8)
+
+
+def _oracle_votes(selected, perms, B, threshold, residue_filter=None):
+    """Per-loop candidate dedupe: the formulation bucket dedupe replaces."""
+    acc = VoteAccumulator(perms[0].n)
+    for sel, perm in zip(selected, perms):
+        cands = candidate_frequencies(sel, perm, B)
+        if residue_filter is not None:
+            cands = cands[residue_filter[cands % residue_filter.size]]
+        acc.add_loop_votes(cands)
+    hits = acc.hits(threshold)
+    return hits, acc.scores[hits].astype(np.int64)
+
+
+class TestVotingOracle:
+    """Bucket-level dedupe votes exactly like per-loop candidate dedupe."""
+
+    LOOPS = 5
+
+    @staticmethod
+    def _selected(rng, B, loops):
+        """Per-loop buckets with repeats, a ``J, J+1`` pair and ``0, B-1``."""
+        rows = []
+        for _ in range(loops):
+            J = int(rng.integers(1, B - 2))
+            extra = rng.integers(0, B, size=4)
+            rows.append(np.array(
+                [J, J + 1, J, 0, B - 1, B - 1, *extra.tolist()],
+                dtype=np.int64,
+            ))
+        return rows
+
+    @pytest.mark.parametrize("n, B", [(1024, 32), (768, 24)],
+                             ids=["pow2", "non-pow2"])
+    @pytest.mark.parametrize("comb", [False, True], ids=["plain", "comb"])
+    def test_matches_per_loop_candidate_dedupe(self, n, B, comb):
+        rng = np.random.default_rng(n + B + comb)
+        S = 3
+        perms = [random_permutation(n, rng) for _ in range(self.LOOPS)]
+        selected = [self._selected(rng, B, self.LOOPS) for _ in range(S)]
+        masks = rng.random((S, 16)) < 0.6 if comb else None
+        stack_hits, stack_votes = recover_locations_stack(
+            selected, perms, B, 2, residue_filters=masks
+        )
+        for s in range(S):
+            mask = None if masks is None else masks[s]
+            want_hits, want_votes = _oracle_votes(
+                selected[s], perms, B, 2, residue_filter=mask
+            )
+            assert want_hits.size > 0
+            assert want_votes.max() > 1
+            hits, votes = recover_locations(
+                selected[s], perms, B, 2, residue_filter=mask
+            )
+            np.testing.assert_array_equal(hits, want_hits)
+            np.testing.assert_array_equal(votes, want_votes)
+            np.testing.assert_array_equal(stack_hits[s], want_hits)
+            np.testing.assert_array_equal(stack_votes[s], want_votes)
+
+    @pytest.mark.parametrize("n, B", [(1024, 32), (768, 24)],
+                             ids=["pow2", "non-pow2"])
+    def test_candidates_match_closed_form(self, n, B):
+        rng = np.random.default_rng(7)
+        perm = random_permutation(n, rng)
+        J = np.array([0, 1, 5, B - 1])
+        low = J * (n // B) - (n // B) // 2
+        permuted = (low[:, None] + np.arange(n // B)) % n
+        want = ((permuted * perm.sigma_inv) % n).ravel()
+        got = candidate_frequencies(J, perm, B)
+        np.testing.assert_array_equal(got, want)
+        # Distinct buckets own disjoint regions: no candidate repeats.
+        assert np.unique(got).size == got.size
+
+    def test_stack_rejects_out_of_range_buckets(self):
+        perm = random_permutation(64, np.random.default_rng(0))
+        with pytest.raises(ParameterError):
+            recover_locations_stack([[np.array([8])], [np.array([0])]],
+                                    [perm], 8, 1)
 
 
 class TestEstimation:

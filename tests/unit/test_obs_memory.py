@@ -49,6 +49,20 @@ class TestPlanCacheBytes:
             "sfft.plan_cache.bytes"
         ).value == before + ws_bytes
 
+    def test_plan_nbytes_counts_every_resident_array(self):
+        # Every ndarray the filter and the built workspace hold, each
+        # buffer once (views such as the reshaped tap matrix share memory
+        # with an array already counted).
+        plan = PlanCache().get_or_make(N, K, seed=1)
+        sfft(make_sparse_signal(N, K, seed=3).time, plan=plan)
+        held = [v for obj in (plan.filt, plan._workspace)
+                for v in vars(obj).values() if isinstance(v, np.ndarray)]
+        counted: list[np.ndarray] = []
+        for arr in sorted(held, key=lambda a: -a.nbytes):
+            if not any(np.shares_memory(arr, c) for c in counted):
+                counted.append(arr)
+        assert PlanCache.plan_nbytes(plan) == sum(a.nbytes for a in counted)
+
     def test_breakdown_rows_sum_to_total(self):
         cache = PlanCache()
         plan = cache.get_or_make(N, K, seed=1)

@@ -12,6 +12,7 @@ from repro.core import (
     sfft,
     sfft_batch_fused,
 )
+from repro.core import workspace as workspace_mod
 from repro.core.workspace import GATHER_ELEMENT_CAP
 from repro.errors import ParameterError
 from repro.signals import make_sparse_signal
@@ -152,6 +153,80 @@ class TestBinFused:
                          out=np.empty((1, 1), dtype=np.complex128))
         with pytest.raises(ParameterError):
             ws.bin_fused_stack(np.zeros((2, 512), dtype=np.complex128))
+
+
+class TestChunkedGather:
+    """The one gather/tap/fold kernel, split into several chunks.
+
+    ``plan_small`` has ``L = 6`` loops of ``rounds*B = 1024`` gathered
+    samples, so a budget of one row, four rows (4 + 2 loops, one chunk
+    partial; 4+4+4+4+2 over a three-signal stack, chunks straddling
+    signals) and five rows (5 + 1) each split the rows differently.
+    """
+
+    @pytest.fixture(params=[1, 4, 5], ids=lambda r: f"{r}rows")
+    def chunked(self, request, monkeypatch, plan_small):
+        padded = plan_small.workspace().rounds * plan_small.B
+        monkeypatch.setattr(workspace_mod, "STACK_CHUNK_ELEMENTS",
+                            request.param * padded)
+        return plan_small
+
+    def test_rows_match_bin_vectorized(self, chunked, rng):
+        x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+        fused = chunked.workspace().bin_fused(x)
+        for r, perm in enumerate(chunked.permutations):
+            np.testing.assert_array_equal(
+                fused[r], bin_vectorized(x, chunked.filt, chunked.B, perm)
+            )
+
+    def test_stack_rows_match_single(self, chunked):
+        X = _signal_stack(1024, 4, 3)
+        ws = chunked.workspace()
+        stack = ws.bin_fused_stack(X)
+        for s in range(3):
+            np.testing.assert_array_equal(stack[s], ws.bin_fused(X[s]))
+
+    def test_gather_cap_fallback_matches_materialized(self, chunked):
+        X = _signal_stack(1024, 4, 3)
+        capped = PlanWorkspace(chunked, gather_cap=0)
+        ws = chunked.workspace()
+        np.testing.assert_array_equal(
+            capped.bin_fused_stack(X), ws.bin_fused_stack(X)
+        )
+        np.testing.assert_array_equal(
+            capped.bin_fused(X[0]), ws.bin_fused(X[0])
+        )
+
+    def test_peak_memory_bounded_by_chunk_budget(self, monkeypatch):
+        """No call materialises the ``(L, rounds*B)`` gather intermediate.
+
+        With the budget below one row, the kernel may hold one row's
+        gathered samples (plus one more, for a rebinding implementation);
+        the whole gather would be ``L`` rows.
+        """
+        import tracemalloc
+
+        plan = cached_plan(1 << 16, 16)
+        ws = plan.workspace()
+        row = ws.rounds * ws.B
+        budget = row // 2
+        assert ws.loops * row >= 8 * max(budget, row)
+        monkeypatch.setattr(workspace_mod, "STACK_CHUNK_ELEMENTS", budget)
+        x = make_sparse_signal(1 << 16, 16, seed=3).time
+        X = np.stack([x, x])
+        ws.bin_fused(x)  # materialise the resident gather matrix first
+        bound = 2 * max(budget, row) * 16 + 16384
+        tracemalloc.start()
+        try:
+            ws.bin_fused(x)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = ws.bin_fused_stack(X)
+            _, stack_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+        assert stack_peak <= bound + out.nbytes
 
 
 class TestBatchEngine:
