@@ -114,7 +114,7 @@ REQUIRED_CONTRACTS: tuple[str, ...] = (
     "repro.core.workspace.PlanWorkspace.bin_fused",
     "repro.core.workspace.PlanWorkspace.bin_fused_stack",
     "repro.core.batch.as_signal_stack",
-    "repro.core.batch.run_stack_pipeline",
+    "repro.core.sfft.run_stack_pipeline",
     "repro.core.binning.bin_serial",
     "repro.core.binning.bin_vectorized",
     "repro.core.binning.bin_loop_partition",
@@ -128,6 +128,7 @@ REQUIRED_CONTRACTS: tuple[str, ...] = (
 _CONTRACT_MODULES: tuple[str, ...] = (
     "repro.core.workspace",
     "repro.core.batch",
+    "repro.core.sfft",
     "repro.core.binning",
     "repro.core.recovery",
     "repro.core.estimation",

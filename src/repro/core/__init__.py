@@ -1,6 +1,6 @@
 """The sparse FFT core: parameters, plans, and the six-step pipeline."""
 
-from .batch import run_stack_pipeline, sfft_batch_fused
+from .batch import sfft_batch_fused
 from .binning import bin_loop_partition, bin_serial, bin_vectorized
 from .executor import EXECUTOR_MODES, ShardedExecutor
 from .fft_backend import (
@@ -51,7 +51,7 @@ from .recovery import (
     recover_locations,
     recover_locations_stack,
 )
-from .sfft import STEP_NAMES, SparseFFTResult, sfft
+from .sfft import STEP_NAMES, SparseFFTResult, run_stack_pipeline, sfft
 from .shm import SegmentBundle, SharedArraySpec
 from .subsampled import bucket_fft, subsample_spectrum
 from .variants import isfft, rsfft, sfft_batch

@@ -1,10 +1,13 @@
 """Batched sparse-FFT execution — one plan, a stack of signals, one pass.
 
-The per-call driver (:func:`~repro.core.sfft.sfft`) already amortizes plan
-synthesis; this module amortizes *execution* overhead across a ``(S, n)``
-signal stack the way the GPU implementation amortizes kernel launches:
+Plans amortize filter synthesis; this module amortizes *execution*
+overhead across an ``(S, n)`` signal stack the way the GPU implementation
+amortizes kernel launches.  :func:`sfft_batch_fused` validates the stack,
+builds any Comb masks and runs the one six-step pipeline,
+:func:`~repro.core.sfft.run_stack_pipeline`, over all ``S`` signals:
 
-* steps 1-2 run as **one** fancy-indexed gather over the whole stack
+* steps 1-2 run one chunked gather + fold over all ``S * L``
+  ``(signal, loop)`` rows
   (:meth:`~repro.core.workspace.PlanWorkspace.bin_fused_stack`);
 * step 3 is a single ``(S*L, B)`` batched bucket FFT — the shape a batched
   cuFFT call would take;
@@ -15,42 +18,30 @@ signal stack the way the GPU implementation amortizes kernel launches:
 * step 6 estimates all signals' hits in one vectorized pass
   (:func:`~repro.core.estimation.estimate_values_stack`).
 
-Every stage is a reshape of the exact computation the single-signal driver
-performs, so ``sfft_batch_fused(X, plan)[s]`` recovers the same support as
-``sfft(X[s], plan=plan)`` with (floating-point-)identical values — the
-property suite asserts this signal for signal, with and without the Comb
-pre-filter.
-
-The stage pipeline itself is exposed as :func:`run_stack_pipeline` so the
-sharded executor (:mod:`repro.core.executor`) can drive slices of a stack
-through it concurrently — every stage is per-signal independent, so a
-shard's results are bit-identical to the same rows of one whole-stack
-pass.
+:func:`~repro.core.sfft.sfft` runs the same pipeline on a stack of one, and
+every stage is per-signal independent, so ``sfft_batch_fused(X, plan)[s]``
+recovers the same support as ``sfft(X[s], plan=plan)`` with
+(floating-point-)identical values — the property suite asserts this signal
+for signal, with and without the Comb pre-filter.  The same
+independence lets the sharded executor (:mod:`repro.core.executor`) drive
+slices of a stack through the pipeline concurrently.
 
 The public entry point is :func:`repro.core.variants.sfft_batch`, which
-routes eligible calls here and falls back to the per-signal loop for
-non-default binning modes.
+resolves the plan and routes to this engine or to the executor.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 from ..analysis.staticcheck.contracts import shape_contract
-from ..errors import ParameterError, RecoveryError
+from ..errors import ParameterError
 from ..utils.rng import RngLike
 from ..utils.validation import as_complex_signal
-from .comb import comb_approved_residues
-from .cutoff import cutoff_rows
-from .estimation import estimate_values_stack
 from .plan import SfftPlan
-from .recovery import recover_locations_stack
-from .sfft import SparseFFTResult
+from .sfft import SparseFFTResult, comb_masks_for_stack, run_stack_pipeline
 
-__all__ = ["sfft_batch_fused", "run_stack_pipeline", "as_signal_stack",
-           "comb_masks_for_stack"]
+__all__ = ["sfft_batch_fused", "as_signal_stack"]
 
 
 @shape_contract("X:*, plan:* -> (S, n)", dtype="complex128",
@@ -72,121 +63,6 @@ def as_signal_stack(X: np.ndarray, plan: SfftPlan) -> np.ndarray:
             raise ParameterError("batch must contain at least one signal")
         return X
     return np.stack([as_complex_signal(row, plan.n) for row in X])
-
-
-@shape_contract("X:(S, n), plan:* -> (S, W)",
-                bind={"n": "plan.n", "W": "comb_width"})
-def comb_masks_for_stack(
-    X: np.ndarray,
-    plan: SfftPlan,
-    comb_width: int,
-    comb_loops: int,
-    seed: RngLike,
-) -> np.ndarray:
-    """Per-signal sFFT-2.0 Comb masks, built row by row in stack order.
-
-    The masks are data-dependent, hence per-signal; each row is built
-    exactly as the per-signal driver would.  Computed in *stack order* so a
-    :class:`numpy.random.Generator` seed draws the same permutation
-    sequence whether the stack later runs serially or sharded.
-    """
-    return np.stack([
-        comb_approved_residues(
-            X[s], comb_width, plan.params.k, loops=comb_loops, seed=seed
-        )
-        for s in range(X.shape[0])
-    ])
-
-
-@shape_contract("X:(S, n):complex128, plan:* -> *",
-                bind={"n": "plan.n", "B": "plan.params.B",
-                      "L": "plan.params.loops",
-                      "v": "plan.params.voting_loops"})
-def run_stack_pipeline(
-    X: np.ndarray,
-    plan: SfftPlan,
-    *,
-    workspace=None,
-    cutoff_method: str = "topk",
-    residue_filters: np.ndarray | None = None,
-    trim_to_k: bool = True,
-    strict: bool = False,
-    signal_offset: int = 0,
-    stage=None,
-) -> list[SparseFFTResult]:
-    """Drive a validated ``(S, n)`` stack through the fused stage pipeline.
-
-    This is the shard-runnable core of :func:`sfft_batch_fused`: ``X`` must
-    already be a validated stack (see :func:`as_signal_stack`) and any Comb
-    masks must be precomputed (``residue_filters``, one row per signal).
-    ``workspace`` is the :class:`~repro.core.workspace.PlanWorkspace` to
-    execute with — the sharded executor passes a per-worker clone; the
-    default is the plan's cached workspace.  ``signal_offset`` shifts
-    signal indices in ``strict`` error messages so shard errors name the
-    global stack row.  ``stage`` is an optional ``stage(name, **attrs)``
-    callable returning a context manager, used to clock each stage (the
-    executor emits per-shard spans through it).
-    """
-    S = X.shape[0]
-    params = plan.params
-    B, L = params.B, params.loops
-    v_loops = params.voting_loops
-    ws = plan.workspace() if workspace is None else workspace
-    if stage is None:
-        def stage(name, **attrs):
-            return nullcontext()
-
-    # Steps 1-2: one gather + fold for the whole stack.
-    with stage("perm_filter", signals=S, loops=L, B=B):
-        raw = ws.bin_fused_stack(X)
-
-    # Step 3: one (S*L, B) batched bucket FFT through the workspace's
-    # backend binding.
-    with stage("bucket_fft", B=B, batch=S * L):
-        rows = ws.bucket_fft(raw.reshape(S * L, B)).reshape(S, L, B)
-
-    # Step 4: batched cutoff over all (signal, voting-loop) rows at once.
-    with stage("cutoff", method=cutoff_method):
-        flat_sel = cutoff_rows(
-            np.abs(rows[:, :v_loops, :]).reshape(S * v_loops, B),
-            params.select_count,
-            method=cutoff_method,
-        )
-        selected = [
-            flat_sel[s * v_loops:(s + 1) * v_loops] for s in range(S)
-        ]
-
-    # Step 5: one flat vote pass for every signal.
-    perms_v = list(plan.permutations[:v_loops])
-    with stage("recovery", loops=v_loops):
-        hits, votes = recover_locations_stack(
-            selected, perms_v, B, params.vote_threshold,
-            residue_filters=residue_filters,
-        )
-
-    if strict:
-        for s in range(S):
-            if hits[s].size < params.k:
-                raise RecoveryError(
-                    f"signal {signal_offset + s}: recovered only "
-                    f"{hits[s].size} of k={params.k} coefficients"
-                )
-
-    # Step 6: all signals' estimates in one vectorized pass.
-    with stage("estimation", hits=int(sum(h.size for h in hits))):
-        values = estimate_values_stack(
-            hits, rows, list(plan.permutations), plan.filt, B
-        )
-
-    results = []
-    for s in range(S):
-        res = SparseFFTResult(
-            n=params.n, locations=hits[s], values=values[s], votes=votes[s]
-        )
-        if trim_to_k:
-            res = res.top(params.k)
-        results.append(res)
-    return results
 
 
 @shape_contract("X:*, plan:* -> *", bind={"n": "plan.n"})

@@ -21,6 +21,8 @@ the occasional loop where ``f`` collided with another coefficient.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from ..analysis.staticcheck.contracts import shape_contract
@@ -36,6 +38,39 @@ __all__ = [
     "clean_loop_counts",
     "median_reliable",
 ]
+
+
+def _estimates(
+    freqs: np.ndarray,
+    first_row: np.ndarray,
+    flat_rows: np.ndarray,
+    permutations: list[Permutation],
+    filt: FlatFilter,
+    B: int,
+) -> np.ndarray:
+    """Per-loop estimates ``(F, L)``; hit ``i`` reads rows ``first_row[i] + r``.
+
+    The one copy of the step-6 formula (module docstring): ``flat_rows``
+    stacks every signal's ``L`` bucket rows, and ``first_row`` points each
+    hit at its own signal's block.
+    """
+    n = filt.n
+    n_div_b = n // B
+    L = len(permutations)
+    sigmas = np.array([p.sigma for p in permutations], dtype=np.int64)
+    taus = np.array([p.tau for p in permutations], dtype=np.float64)
+
+    # permuted position per (hit, loop); int64 is safe: f, sigma < n <= 2^31.
+    p = (freqs[:, None] * sigmas[None, :]) % n
+    hashed = ((p + n_div_b // 2) // n_div_b) % B
+    dist = p - ((p + n_div_b // 2) // n_div_b) * n_div_b  # signed offset o
+
+    z = flat_rows[first_row[:, None] + np.arange(L)[None, :], hashed]
+    g = filt.freq[(-dist) % n]
+    phase = np.exp(
+        -2j * np.pi * taus[None, :] * freqs[:, None].astype(np.float64) / n
+    )
+    return n * z / g * phase
 
 
 @shape_contract("frequencies:(F,), bucket_rows:(L, B):complex128 -> (F, L)",
@@ -62,25 +97,12 @@ def loop_estimates(
     L = rows.shape[0]
     if len(permutations) != L:
         raise ParameterError(f"{len(permutations)} permutations for L={L} rows")
-    n = filt.n
-    n_div_b = n // B
     if freqs.size == 0:
         return np.empty((0, L), dtype=np.complex128)
-    if np.any((freqs < 0) | (freqs >= n)):
+    if np.any((freqs < 0) | (freqs >= filt.n)):
         raise ParameterError("frequencies out of range")
-
-    sigmas = np.array([p.sigma for p in permutations], dtype=np.int64)
-    taus = np.array([p.tau for p in permutations], dtype=np.float64)
-
-    # permuted position per (hit, loop); int64 is safe: f, sigma < n <= 2^31.
-    p = (freqs[:, None] * sigmas[None, :]) % n
-    hashed = ((p + n_div_b // 2) // n_div_b) % B
-    dist = p - ((p + n_div_b // 2) // n_div_b) * n_div_b  # signed offset o
-
-    z = rows[np.arange(L)[None, :], hashed]
-    g = filt.freq[(-dist) % n]
-    phase = np.exp(-2j * np.pi * taus[None, :] * freqs[:, None].astype(np.float64) / n)
-    return n * z / g * phase
+    return _estimates(freqs, np.zeros(freqs.size, dtype=np.int64), rows,
+                      permutations, filt, B)
 
 
 def clean_loop_counts(
@@ -163,10 +185,13 @@ def estimate_values(
     filt: FlatFilter,
     B: int,
 ) -> np.ndarray:
-    """Final coefficient estimates for ``frequencies`` (median over loops)."""
-    return componentwise_median(
-        loop_estimates(frequencies, bucket_rows, permutations, filt, B)
-    )
+    """Final coefficient estimates for ``frequencies`` (median over loops).
+
+    :func:`estimate_values_stack` on a stack of one signal.
+    """
+    return estimate_values_stack(
+        [frequencies], np.asarray(bucket_rows)[None], permutations, filt, B
+    )[0]
 
 
 @shape_contract("hits_per_signal:*, bucket_rows_stack:(S, L, B):complex128"
@@ -180,14 +205,14 @@ def estimate_values_stack(
     filt: FlatFilter,
     B: int,
 ) -> list[np.ndarray]:
-    """Step 6 for a whole signal stack — one vectorized pass over all hits.
+    """Step 6 for a signal stack — one vectorized pass over all hits.
 
-    ``bucket_rows_stack`` is the ``(S, L, B)`` frequency-domain bucket tensor
-    of the batched engine.  All signals' hit frequencies are concatenated and
-    estimated in one shot (the per-``(hit, loop)`` formulas are elementwise,
-    so batching cannot change any value); the result is split back into one
-    value array per signal, each identical to :func:`estimate_values` on
-    that signal's rows.
+    ``bucket_rows_stack`` is the ``(S, L, B)`` frequency-domain bucket
+    tensor of the pipeline.  All signals' hit frequencies are concatenated
+    and estimated in one shot against the ``(S * L, B)`` row matrix (the
+    per-``(hit, loop)`` formulas are elementwise, so batching cannot
+    change any value); the result is split back into one value array per
+    signal.
     """
     stack = np.asarray(bucket_rows_stack)
     if stack.ndim != 3 or stack.shape[2] != B:
@@ -201,30 +226,17 @@ def estimate_values_stack(
         )
     if len(permutations) != L:
         raise ParameterError(f"{len(permutations)} permutations for L={L} rows")
-    n = filt.n
-    n_div_b = n // B
-    sizes = [np.asarray(h).size for h in hits_per_signal]
-    bounds = np.cumsum(sizes)
-    if bounds[-1] == 0:
-        return [np.empty(0, dtype=np.complex128) for _ in range(S)]
     freqs = np.concatenate(
         [np.asarray(h, dtype=np.int64) for h in hits_per_signal]
     )
-    if np.any((freqs < 0) | (freqs >= n)):
+    sizes = [np.size(h) for h in hits_per_signal]
+    if freqs.size == 0:
+        return [np.empty(0, dtype=np.complex128) for _ in range(S)]
+    if np.any((freqs < 0) | (freqs >= filt.n)):
         raise ParameterError("frequencies out of range")
-    sig_of = np.repeat(np.arange(S, dtype=np.int64), sizes)
-
-    sigmas = np.array([p.sigma for p in permutations], dtype=np.int64)
-    taus = np.array([p.tau for p in permutations], dtype=np.float64)
-
-    p = (freqs[:, None] * sigmas[None, :]) % n
-    hashed = ((p + n_div_b // 2) // n_div_b) % B
-    dist = p - ((p + n_div_b // 2) // n_div_b) * n_div_b
-
-    z = stack[sig_of[:, None], np.arange(L)[None, :], hashed]
-    g = filt.freq[(-dist) % n]
-    phase = np.exp(
-        -2j * np.pi * taus[None, :] * freqs[:, None].astype(np.float64) / n
-    )
-    values = componentwise_median(n * z / g * phase)
-    return list(np.split(values, bounds[:-1]))
+    first_row = np.repeat(np.arange(0, S * L, L, dtype=np.int64), sizes)
+    values = componentwise_median(_estimates(
+        freqs, first_row, stack.reshape(S * L, B), permutations, filt, B
+    ))
+    edges = [0, *accumulate(sizes)]
+    return [values[a:b] for a, b in zip(edges, edges[1:])]

@@ -5,7 +5,7 @@ on one CUDA stream while the execution kernel of chunk *i* occupies another
 (DESIGN §1, table row 3).  This module reproduces that structure for the
 batched engine: an ``(S, n)`` signal stack is split into **shards**, and a
 :class:`ShardedExecutor` drives each shard through the fused stage pipeline
-(:func:`~repro.core.batch.run_stack_pipeline` — gather/bin → bucket FFT →
+(:func:`~repro.core.sfft.run_stack_pipeline` — gather/bin → bucket FFT →
 cutoff → recovery → estimation) on a worker pool.
 
 Two execution modes share one contract:
@@ -86,10 +86,10 @@ from ..analysis.staticcheck.contracts import shape_contract
 from ..errors import ExecutorError, ParameterError
 from ..obs import MetricsRegistry, Tracer, global_registry, monotonic
 from ..utils.rng import RngLike
-from .batch import as_signal_stack, comb_masks_for_stack, run_stack_pipeline
+from .batch import as_signal_stack
 from .fft_backend import get_backend
 from .plan import SfftPlan
-from .sfft import SparseFFTResult
+from .sfft import SparseFFTResult, comb_masks_for_stack, run_stack_pipeline
 from .shm import (
     AttachedSegment,
     PlanDescriptor,

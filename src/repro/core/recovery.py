@@ -21,6 +21,8 @@ The GPU kernel (Algorithm 4) does exactly this with one thread per selected
 bucket and ``atomicAdd`` on a length-``n`` score array; here the votes are a
 vectorized fancy-index increment — the same scatter-add, minus the
 hardware, and safe without ``np.add.at`` because no index repeats.
+:func:`recover_locations_stack` is the one implementation;
+:func:`recover_locations` runs it on a stack of one signal.
 """
 
 from __future__ import annotations
@@ -81,6 +83,14 @@ def candidate_frequencies(
         return np.empty(0, dtype=np.int64)
     if np.any((J < 0) | (J >= B)):
         raise ParameterError("bucket indices out of range")
+    return _candidate_block(J, perm, n_div_b).ravel()
+
+
+def _candidate_block(
+    J: np.ndarray, perm: Permutation, n_div_b: int
+) -> np.ndarray:
+    """``(len(J), n_div_b)`` candidates: each bucket's region, unpermuted."""
+    n = perm.n
     # ceil((J - 0.5) * n/B) == J*n_div_b - n_div_b//2 in exact integer
     # arithmetic, avoiding float rounding at big n.
     low = J * n_div_b - n_div_b // 2
@@ -92,42 +102,29 @@ def candidate_frequencies(
         cands &= n - 1
     else:
         cands %= n
-    return cands.ravel()
+    return cands
 
 
 class VoteAccumulator:
-    """Per-transform vote scores over the ``n`` frequencies.
+    """Per-transform vote scores over the ``n`` frequencies — the oracle.
 
     A dense ``int16`` score array — the direct analog of the GPU kernel's
     ``score[n]`` buffer (Algorithm 4).  ``int16`` suffices because scores
     are bounded by the loop count.
 
     :meth:`add_loop_votes` takes arbitrary candidates (repeats allowed) and
-    pays for a sort to vote once per frequency.  The hot path,
-    :func:`recover_locations`, needs no candidate sort: it deduplicates a
-    loop's selected *buckets* instead, because distinct buckets own
-    disjoint candidate regions and ``sigma^{-1}`` maps disjoint sets to
-    disjoint sets, and scatters into :attr:`scores` directly.
-
-    ``scores_out`` lets a caller supply the buffer (the per-plan workspace
-    keeps one resident so the hot path allocates nothing); it is zeroed on
-    entry and owned by the accumulator for the transform's duration.
+    pays for a sort to vote once per frequency.  The pipeline,
+    :func:`recover_locations_stack`, needs no candidate sort: it
+    deduplicates the selected *buckets* instead, because distinct buckets
+    own disjoint candidate regions and ``sigma^{-1}`` maps disjoint sets
+    to disjoint sets; the tests check it against this class.
     """
 
-    def __init__(self, n: int, *, scores_out: np.ndarray | None = None):
+    def __init__(self, n: int):
         if n < 1:
             raise ParameterError(f"n must be positive, got {n}")
         self.n = int(n)
-        if scores_out is None:
-            self.scores = np.zeros(self.n, dtype=np.int16)
-        else:
-            if scores_out.shape != (self.n,) or scores_out.dtype != np.int16:
-                raise ParameterError(
-                    f"scores_out must be int16 of shape ({self.n},), got "
-                    f"{scores_out.dtype} {scores_out.shape}"
-                )
-            scores_out.fill(0)
-            self.scores = scores_out
+        self.scores = np.zeros(self.n, dtype=np.int16)
 
     def add_loop_votes(self, candidates: np.ndarray) -> None:
         """Add one loop's candidates (each distinct frequency votes once).
@@ -149,6 +146,45 @@ class VoteAccumulator:
         return np.flatnonzero(self.scores >= threshold).astype(np.int64)
 
 
+def _scatter_votes(
+    scores: np.ndarray,
+    selected: list[list[np.ndarray]],
+    permutations: list[Permutation],
+    B: int,
+    masks: np.ndarray | None,
+) -> None:
+    """Add every ``(signal, loop)`` row's votes to the flat ``(S*n)`` scores.
+
+    Its own function so that the key and candidate arrays are freed before
+    the caller scans the scores.
+    """
+    S, loops, n = len(selected), len(permutations), permutations[0].n
+    # Row s*loops + r of the flat list is signal s, loop r; its keys
+    # (r*S + s)*B + J sort loop-major, so each loop's keys form one run.
+    rows = [np.asarray(row, dtype=np.int64)
+            for per_signal in selected for row in per_signal]
+    buckets = np.concatenate(rows)
+    if np.any((buckets < 0) | (buckets >= B)):
+        raise ParameterError("bucket indices out of range")
+    row_of = np.repeat(np.arange(S * loops), [row.size for row in rows])
+    keys = _distinct_int64(
+        (row_of % loops * S + row_of // loops) * B + buckets
+    )
+    run, J = np.divmod(keys, B)  # run = r*S + s
+    runs = np.searchsorted(run, np.arange(0, (loops + 1) * S, S)).tolist()
+    sig = run % S
+    for r, perm in enumerate(permutations):
+        a, b = runs[r], runs[r + 1]
+        if a == b:
+            continue
+        cands = _candidate_block(J[a:b], perm, n // B)
+        keep = None if masks is None \
+            else masks[sig[a:b, None], cands % masks.shape[1]]
+        if S > 1:
+            cands += (sig[a:b] * n)[:, None]
+        scores[cands if keep is None else cands[keep]] += 1
+
+
 @shape_contract("selected_per_loop:*, permutations:* -> *",
                 bind={"n": "permutations[0].n", "B": "B"})
 def recover_locations(
@@ -162,32 +198,19 @@ def recover_locations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run voting over all loops; return ``(hit_frequencies, their_scores)``.
 
+    :func:`recover_locations_stack` on a stack of one signal.
     ``residue_filter`` is the optional sFFT-2.0 Comb screen (see
     :mod:`repro.core.comb`): a boolean mask of length ``W`` — candidates
-    whose residue ``f mod W`` is not approved never enter the vote, cutting
-    the scatter-add work to the approved classes.  ``scores_out`` is an
-    optional preallocated ``int16`` score buffer (zeroed here), letting the
-    workspace-driven path vote without allocating a length-``n`` array.
+    whose residue ``f mod W`` is not approved never enter the vote.
+    ``scores_out`` is an optional length-``n`` ``int16`` score buffer.
     """
-    if len(selected_per_loop) != len(permutations):
-        raise ParameterError("one selected-bucket set per permutation required")
-    if not permutations:
-        raise ParameterError("at least one loop is required")
-    if residue_filter is not None:
-        residue_filter = np.asarray(residue_filter, dtype=bool)
-        if residue_filter.ndim != 1 or residue_filter.size < 1:
-            raise ParameterError("residue_filter must be a 1-D boolean mask")
-    acc = VoteAccumulator(permutations[0].n, scores_out=scores_out)
-    for sel, perm in zip(selected_per_loop, permutations):
-        # One vote per frequency per loop: distinct buckets, distinct
-        # candidates (module docstring).
-        buckets = _distinct_int64(np.asarray(sel, dtype=np.int64))
-        cands = candidate_frequencies(buckets, perm, B)
-        if residue_filter is not None and cands.size:
-            cands = cands[residue_filter[cands % residue_filter.size]]
-        acc.scores[cands] += 1
-    hits = acc.hits(vote_threshold)
-    return hits, acc.scores[hits].astype(np.int64)
+    masks = None if residue_filter is None \
+        else np.asarray(residue_filter, dtype=bool)[None]
+    hits, votes = recover_locations_stack(
+        [selected_per_loop], permutations, B, vote_threshold,
+        residue_filters=masks, scores_out=scores_out,
+    )
+    return hits[0], votes[0]
 
 
 @shape_contract("selected:*, permutations:* -> *",
@@ -200,28 +223,34 @@ def recover_locations_stack(
     vote_threshold: int,
     *,
     residue_filters: np.ndarray | None = None,
+    scores_out: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Voting for a whole signal stack — the batched engine's step 5.
+    """Voting for a signal stack — the pipeline's step 5.
 
     ``selected[s][r]`` holds signal ``s``'s selected buckets in loop ``r``
     (the loops share one permutation schedule — that is what "one plan"
-    means).  Instead of ``S`` separate accumulators, one flat ``(S * n)``
-    ``int16`` score array votes for all signals at once: per loop, the
-    selected buckets of every signal are keyed ``s * B + J`` and
-    deduplicated in one vectorised pass (at most ``S * m`` keys), and their
-    candidates, offset by ``s * n``, scatter straight into the scores —
-    distinct keys own disjoint candidates, as in :func:`recover_locations`.
+    means).  One flat ``(S * n)`` ``int16`` score array votes for all
+    signals at once.  The selected buckets of every ``(signal, loop)``
+    row are concatenated once, keyed ``(r * S + s) * B + J`` and
+    deduplicated with one sort, so each loop's distinct keys form one
+    contiguous run; each loop then scatters its keys' candidates, offset
+    by ``s * n``, straight into the scores — distinct keys own disjoint
+    candidates (module docstring), so no index repeats within a scatter.
 
     ``residue_filters`` is the optional per-signal Comb screen, one boolean
     mask row per signal (masks are data-dependent, so they cannot be shared
-    across the stack).  Returns per-signal ``(hits, votes)`` lists matching
-    :func:`recover_locations` signal for signal.
+    across the stack).  ``scores_out`` is an optional ``(S * n,)``
+    ``int16`` score buffer, zeroed here (the pipeline passes the
+    workspace's resident one for a single signal).  Returns per-signal
+    ``(hits, votes)`` lists, hits ascending.
     """
     S = len(selected)
     if S < 1:
         raise ParameterError("at least one signal is required")
     if not permutations:
         raise ParameterError("at least one loop is required")
+    if vote_threshold < 1:
+        raise ParameterError(f"threshold must be >= 1, got {vote_threshold}")
     loops = len(permutations)
     for rows in selected:
         if len(rows) != loops:
@@ -238,26 +267,21 @@ def recover_locations_stack(
     n = permutations[0].n
     if B < 1 or n % B != 0:
         raise ParameterError(f"B={B} must divide n={n}")
-    n_div_b = n // B
-    scores = np.zeros(S * n, dtype=np.int16)
-    for r, perm in enumerate(permutations):
-        rows = [np.asarray(selected[s][r], dtype=np.int64) for s in range(S)]
-        sizes = [row.size for row in rows]
-        if not any(sizes):
-            continue
-        buckets = np.concatenate(rows)
-        if np.any((buckets < 0) | (buckets >= B)):
-            raise ParameterError("bucket indices out of range")
-        sig_idx = np.repeat(np.arange(S, dtype=np.int64), sizes)
-        sig_idx, buckets = np.divmod(_distinct_int64(sig_idx * B + buckets), B)
-        cands = candidate_frequencies(buckets, perm, B)
-        sig_rows = np.repeat(sig_idx, n_div_b)
-        if masks is not None:
-            keep = masks[sig_rows, cands % masks.shape[1]]
-            cands, sig_rows = cands[keep], sig_rows[keep]
-        scores[sig_rows * n + cands] += 1
-    per_signal = scores.reshape(S, n)
-    hits = [np.flatnonzero(per_signal[s] >= vote_threshold).astype(np.int64)
-            for s in range(S)]
-    votes = [per_signal[s, h].astype(np.int64) for s, h in enumerate(hits)]
-    return hits, votes
+    if scores_out is None:
+        scores = np.zeros(S * n, dtype=np.int16)
+    else:
+        if scores_out.shape != (S * n,) or scores_out.dtype != np.int16:
+            raise ParameterError(
+                f"scores_out must be int16 of shape ({S * n},), got "
+                f"{scores_out.dtype} {scores_out.shape}"
+            )
+        scores_out.fill(0)
+        scores = scores_out
+
+    _scatter_votes(scores, selected, permutations, B, masks)
+    hot = np.flatnonzero(scores >= vote_threshold)
+    votes = scores[hot].astype(np.int64)
+    edges = np.searchsorted(hot, np.arange(S + 1) * n).tolist()
+    spans = list(zip(edges, edges[1:]))
+    return ([hot[a:b] - s * n for s, (a, b) in enumerate(spans)],
+            [votes[a:b] for a, b in spans])

@@ -1,48 +1,50 @@
-"""The sparse FFT driver — paper Section III end-to-end (CPU reference).
+"""The sparse FFT pipeline — paper Section III end-to-end (CPU reference).
 
-This is the orchestrator that strings the six steps together:
+One driver, :func:`run_stack_pipeline`, strings the six steps together over
+an ``(S, n)`` stack of signals that share one plan:
 
-1-2. permute + filter + fold into buckets  (:mod:`~repro.core.binning`)
+1-2. permute + filter + fold into buckets  (:mod:`~repro.core.workspace`)
 3.   batched ``B``-point FFT               (:mod:`~repro.core.subsampled`)
 4.   cutoff                                (:mod:`~repro.core.cutoff`)
 5.   reverse hash + voting                 (:mod:`~repro.core.recovery`)
 6.   median magnitude reconstruction       (:mod:`~repro.core.estimation`)
 
-It doubles as the profiling harness behind Figure 2: with ``profile=True``
-it wall-clocks each step, which is how the paper identified perm+filter as
-the dominant cost.
+:func:`sfft` validates one signal, resolves its plan and runs the pipeline
+on a stack of one; the batched engine (:mod:`repro.core.batch`) and the
+sharded executor (:mod:`repro.core.executor`) run it on whole stacks and
+shards.  A stack of one bins into the plan workspace's resident ``(L, B)``
+scratch and votes into its resident length-``n`` score array, so a single
+call allocates neither.
+
+:func:`sfft` doubles as the profiling harness behind Figure 2: with
+``profile=True`` each step runs inside a :class:`~repro.obs.Tracer` span,
+which is how the paper identified perm+filter as the dominant cost.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..analysis.staticcheck.contracts import shape_contract
 from ..errors import ParameterError, RecoveryError
 from ..obs import MetricsRegistry, Tracer, emit_sfft_metrics, global_registry
 from ..utils.rng import RngLike
 from ..utils.validation import as_complex_signal
-from .binning import bin_loop_partition, bin_serial, bin_vectorized
 from .comb import comb_approved_residues
 from .cutoff import cutoff_rows
-from .estimation import estimate_values
+from .estimation import estimate_values_stack
 from .params import resolve_sfft_config
 from .plan import SfftPlan
 from .plan_cache import cached_plan
-from .recovery import recover_locations
-from .subsampled import bucket_fft
+from .recovery import recover_locations_stack
 
-__all__ = ["SparseFFTResult", "sfft", "STEP_NAMES"]
+__all__ = ["SparseFFTResult", "sfft", "run_stack_pipeline",
+           "comb_masks_for_stack", "STEP_NAMES"]
 
 STEP_NAMES = ("perm_filter", "bucket_fft", "cutoff", "recovery", "estimation")
-
-_BINNERS = {
-    "serial": bin_serial,
-    "vectorized": bin_vectorized,
-    "loop_partition": bin_loop_partition,
-}
 
 
 @dataclass(frozen=True)
@@ -108,13 +110,142 @@ class SparseFFTResult:
         return {int(f): complex(v) for f, v in zip(self.locations, self.values)}
 
 
+@shape_contract("X:(S, n), plan:* -> (S, W)",
+                bind={"n": "plan.n", "W": "comb_width"})
+def comb_masks_for_stack(
+    X: np.ndarray,
+    plan: SfftPlan,
+    comb_width: int,
+    comb_loops: int,
+    seed: RngLike,
+) -> np.ndarray:
+    """Per-signal sFFT-2.0 Comb masks, built row by row in stack order.
+
+    The masks are data-dependent, hence per-signal.  Computed in *stack
+    order* so a :class:`numpy.random.Generator` seed draws the same
+    permutation sequence whether the stack later runs serially or sharded.
+    """
+    return np.stack([
+        comb_approved_residues(
+            X[s], comb_width, plan.params.k, loops=comb_loops, seed=seed
+        )
+        for s in range(X.shape[0])
+    ])
+
+
+def _no_stage(name, **attrs):
+    return nullcontext()
+
+
+@shape_contract("X:(S, n):complex128, plan:* -> *",
+                bind={"n": "plan.n", "B": "plan.params.B",
+                      "L": "plan.params.loops",
+                      "v": "plan.params.voting_loops"})
+def run_stack_pipeline(
+    X: np.ndarray,
+    plan: SfftPlan,
+    *,
+    workspace=None,
+    cutoff_method: str = "topk",
+    residue_filters: np.ndarray | None = None,
+    trim_to_k: bool = True,
+    strict: bool = False,
+    signal_offset: int = 0,
+    stage=None,
+    metrics: MetricsRegistry | None = None,
+) -> list[SparseFFTResult]:
+    """Drive a validated ``(S, n)`` stack through the six-step pipeline.
+
+    ``X`` must already be a validated stack (see
+    :func:`~repro.core.batch.as_signal_stack`) and any Comb masks must be
+    precomputed (``residue_filters``, one row per signal — see
+    :func:`comb_masks_for_stack`).  ``workspace`` is the
+    :class:`~repro.core.workspace.PlanWorkspace` to execute with — the
+    sharded executor passes a per-worker clone; the default is the plan's
+    cached workspace.  ``signal_offset`` shifts signal indices in
+    ``strict`` error messages so shard errors name the global stack row.
+    ``stage`` is an optional ``stage(name, **attrs)`` callable returning a
+    context manager, used to clock each stage (:func:`sfft` opens tracer
+    spans through it, the executor per-shard spans).  ``metrics``
+    receives each signal's ``sfft.*`` metrics
+    (:func:`~repro.obs.emit_sfft_metrics`).
+    """
+    S = X.shape[0]
+    params = plan.params
+    B, L = params.B, params.loops
+    v_loops = params.voting_loops
+    ws = plan.workspace() if workspace is None else workspace
+    stage = _no_stage if stage is None else stage
+
+    # Steps 1-2: one chunked gather + fold over every (signal, loop) row.
+    # A single signal folds into the workspace's resident scratch.
+    with stage("perm_filter", signals=S, loops=L, B=B):
+        raw = ws.bin_fused(X[0]) if S == 1 \
+            else ws.bin_fused_stack(X).reshape(S * L, B)
+
+    # Step 3: one (S*L, B) batched bucket FFT through the workspace's
+    # backend binding.
+    with stage("bucket_fft", B=B, batch=S * L):
+        rows = ws.bucket_fft(raw).reshape(S, L, B)
+
+    # Step 4: batched cutoff over all (signal, voting-loop) rows at once.
+    with stage("cutoff", method=cutoff_method):
+        flat_sel = cutoff_rows(
+            np.abs(rows[:, :v_loops, :]).reshape(S * v_loops, B),
+            params.select_count,
+            method=cutoff_method,
+        )
+        selected = [
+            flat_sel[s * v_loops:(s + 1) * v_loops] for s in range(S)
+        ]
+
+    # Step 5: one flat vote pass for every signal; a single signal votes
+    # into the workspace's resident score array.
+    perms_v = list(plan.permutations[:v_loops])
+    with stage("recovery", loops=v_loops):
+        hits, votes = recover_locations_stack(
+            selected, perms_v, B, params.vote_threshold,
+            residue_filters=residue_filters,
+            scores_out=ws.scores if S == 1 else None,
+        )
+
+    if strict:
+        for s in range(S):
+            if hits[s].size < params.k:
+                raise RecoveryError(
+                    f"signal {signal_offset + s}: recovered only "
+                    f"{hits[s].size} of k={params.k} coefficients"
+                )
+
+    # Step 6: all signals' estimates in one vectorized pass.
+    with stage("estimation", hits=int(sum(h.size for h in hits))):
+        values = estimate_values_stack(
+            hits, rows, list(plan.permutations), plan.filt, B
+        )
+
+    results = []
+    for s in range(S):
+        if metrics is not None:
+            emit_sfft_metrics(
+                metrics, B=B, n=params.n,
+                selected_sizes=[int(sel.size) for sel in selected[s]],
+                hits=hits[s], votes=votes[s], permutations=perms_v,
+            )
+        res = SparseFFTResult(
+            n=params.n, locations=hits[s], values=values[s], votes=votes[s]
+        )
+        if trim_to_k:
+            res = res.top(params.k)
+        results.append(res)
+    return results
+
+
 def sfft(
     x,
     k: int | None = None,
     *,
     plan: SfftPlan | None = None,
     seed: RngLike = None,
-    binning: str = "vectorized",
     cutoff_method: str = "topk",
     comb_width: int | None = None,
     comb_loops: int = 3,
@@ -139,13 +270,9 @@ def sfft(
         A reusable :class:`~repro.core.plan.SfftPlan`; obtained from the
         process-level plan cache (with ``seed`` / ``plan_overrides``) when
         omitted, so repeat convenience calls of one shape pay filter
-        synthesis once — see :mod:`repro.core.plan_cache`.
-    binning:
-        ``"vectorized"`` (default), ``"loop_partition"`` (mirrors the GPU
-        kernel), or ``"serial"`` (Algorithm 1 verbatim; slow, tests only).
-        The default runs through the plan's fused execution workspace
-        (:mod:`repro.core.workspace`): one gather + fold for all ``L``
-        loops, reusing plan-resident scratch.
+        synthesis once — see :mod:`repro.core.plan_cache`.  Passing
+        ``plan_overrides`` alongside a plan raises
+        :class:`~repro.errors.ParameterError`.
     cutoff_method:
         ``"topk"`` (baseline sort&select) or ``"threshold"`` (fast
         k-selection).
@@ -179,12 +306,6 @@ def sfft(
     -------
     SparseFFTResult
     """
-    if binning not in _BINNERS:
-        raise ParameterError(
-            f"unknown binning {binning!r}; choose from {sorted(_BINNERS)}"
-        )
-    binner = _BINNERS[binning]
-
     if plan is None:
         if k is None:
             raise ParameterError("either k or a plan must be provided")
@@ -199,91 +320,48 @@ def sfft(
             comb_width = resolved.comb_width
         plan = cached_plan(x.size, k, seed=seed, **resolved.overrides)
     else:
+        if plan_overrides:
+            raise ParameterError(
+                f"unexpected options {sorted(plan_overrides)}: plan "
+                f"derivation overrides do not apply to an explicit plan"
+            )
         x = as_complex_signal(x, plan.n)
-        if k is None:
-            k = plan.k
     params = plan.params
-    B, L = params.B, params.loops
 
     profiling = profile or tracer is not None
-    if profiling and tracer is None:
-        tracer = Tracer()
-    span_start = len(tracer.spans) if profiling else 0
+    stage = _no_stage
+    if profiling:
+        if tracer is None:
+            tracer = Tracer()
+        span_start = len(tracer.spans)
 
-    def step(name: str, **attrs):
-        return tracer.span(name, category="sfft", **attrs) if profiling \
-            else nullcontext()
+        def stage(name: str, **attrs):
+            return tracer.span(name, category="sfft", **attrs)
 
     # Optional sFFT-2.0 Comb screen — timed as its own step so Figure-2
     # style breakdowns account for every stage that ran.
-    residue_filter = None
+    X = x[None]
+    residue_filters = None
     if comb_width is not None:
-        with step("comb", W=comb_width, loops=comb_loops):
-            residue_filter = comb_approved_residues(
-                x, comb_width, params.k, loops=comb_loops, seed=seed
+        with stage("comb", W=comb_width, loops=comb_loops):
+            residue_filters = comb_masks_for_stack(
+                X, plan, comb_width, comb_loops, seed
             )
 
-    # Steps 1-2: permutation + filter + fold, one row per loop.  The
-    # default binning runs fused through the plan workspace (one gather for
-    # all loops into plan-resident scratch); the explicit binner variants
-    # keep their per-loop structure for kernel-shape fidelity.  The fusion
-    # only engages while the dispatch entry is the stock binner, so
-    # patching ``_BINNERS["vectorized"]`` (tests inject slow/instrumented
-    # binners there) still takes effect.
-    ws = plan.workspace() if binner is bin_vectorized else None
-    with step("perm_filter", loops=L, B=B):
-        if ws is not None:
-            raw = ws.bin_fused(x)
-        else:
-            raw = np.empty((L, B), dtype=np.complex128)
-            for r, perm in enumerate(plan.permutations):
-                raw[r] = binner(x, plan.filt, B, perm)
+    [result] = run_stack_pipeline(
+        X, plan,
+        cutoff_method=cutoff_method,
+        residue_filters=residue_filters,
+        trim_to_k=trim_to_k,
+        strict=strict,
+        stage=stage,
+        metrics=(metrics if metrics is not None else global_registry())
+        if profiling else None,
+    )
 
-    # Step 3: batched B-point FFT.
-    with step("bucket_fft", B=B, batch=L):
-        rows = bucket_fft(raw)
-
-    # Step 4: cutoff — only the voting loops need it (the reference
-    # implementation's location/estimation split).  One batched top-k over
-    # all voting rows at once.
-    v_loops = params.voting_loops
-    with step("cutoff", method=cutoff_method):
-        selected = cutoff_rows(
-            np.abs(rows[:v_loops]), params.select_count, method=cutoff_method
-        )
-
-    # Step 5: reverse hash + voting over the location loops.
-    with step("recovery", loops=v_loops):
-        hits, votes = recover_locations(
-            selected, list(plan.permutations[:v_loops]), B,
-            params.vote_threshold, residue_filter=residue_filter,
-            scores_out=ws.scores if ws is not None else None,
-        )
-
-    if strict and hits.size < params.k:
-        raise RecoveryError(
-            f"recovered only {hits.size} of k={params.k} coefficients"
-        )
-
-    # Step 6: magnitude reconstruction.
-    with step("estimation", hits=int(hits.size)):
-        values = estimate_values(
-            hits, rows, list(plan.permutations), plan.filt, B
-        )
-
-    times: dict[str, float] | None = None
     if profiling:
-        emit_sfft_metrics(
-            metrics if metrics is not None else global_registry(),
-            B=B,
-            n=params.n,
-            selected_sizes=[int(s.size) for s in selected],
-            hits=hits,
-            votes=votes,
-            permutations=list(plan.permutations[:v_loops]),
-        )
-        # step_times is a view over this call's spans: same keys as the
-        # old accumulating clock, plus "comb" when the pre-filter ran.
+        # step_times is a view over this call's spans, plus "comb" when
+        # the pre-filter ran.
         by_name: dict[str, float] = {}
         for sp in tracer.spans[span_start:]:
             if sp.category == "sfft":
@@ -291,17 +369,7 @@ def sfft(
         times = {name: by_name.get(name, 0.0) for name in STEP_NAMES}
         if "comb" in by_name:
             times = {"comb": by_name["comb"], **times}
-
-    result = SparseFFTResult(
-        n=params.n,
-        locations=hits,
-        values=values,
-        votes=votes,
-        step_times=times,
-        trace=tracer if profiling else None,
-    )
-    if trim_to_k:
-        result = result.top(params.k)
+        result = replace(result, step_times=times, trace=tracer)
     if verify:
         # Verification deliberately uses the numpy oracle, not the
         # configured backend, so verify-mode checks the backend too.

@@ -44,6 +44,7 @@ def isfft(x, k: int | None = None, **kwargs) -> SparseFFTResult:
         values=np.conj(res.values) / res.n,
         votes=res.votes,
         step_times=res.step_times,
+        trace=res.trace,
     )
 
 
@@ -83,12 +84,13 @@ def rsfft(x, k: int | None = None, **kwargs) -> SparseFFTResult:
     vals = np.array([sym[int(f)] for f in locs], dtype=np.complex128)
     vts = np.array([votes.get(int(f), votes.get(int((-f) % n), 0)) for f in locs])
     return SparseFFTResult(
-        n=n, locations=locs, values=vals, votes=vts, step_times=res.step_times
+        n=n, locations=locs, values=vals, votes=vts,
+        step_times=res.step_times, trace=res.trace,
     )
 
 
-_EXEC_KEYS = ("binning", "cutoff_method", "comb_width", "comb_loops",
-              "trim_to_k", "strict", "profile", "fft_backend", "fft_workers")
+_EXEC_KEYS = ("cutoff_method", "comb_width", "comb_loops", "trim_to_k",
+              "strict", "fft_backend", "fft_workers")
 
 
 def sfft_batch(
@@ -119,11 +121,13 @@ def sfft_batch(
     mode.  ``fft_backend`` / ``fft_workers`` keyword arguments select the
     bucket-FFT implementation (:mod:`repro.core.fft_backend`).
 
-    Requests the fused engine cannot express (an explicit non-default
-    ``binning``, or ``profile=True`` for per-step timing) fall back to the
-    per-signal driver loop — ignoring ``executor`` — preserving the old
-    semantics.
+    ``binning`` and ``profile`` raise :class:`~repro.errors.ParameterError`:
+    the pipeline has one binning kernel, and per-step timing belongs to
+    single calls (``sfft(x, profile=True)``) or an executor ``tracer``.
     """
+    for key in ("binning", "profile"):
+        if key in kwargs:
+            raise ParameterError(f"sfft_batch does not take {key}=")
     if isinstance(signals, np.ndarray):
         # Rows of a contiguous stack validate without copying; the fused
         # engine consumes the original array as-is.
@@ -179,34 +183,24 @@ def sfft_batch(
     exec_kwargs = {
         key: val for key, val in kwargs.items() if key in _EXEC_KEYS
     }
-    fused_ok = (
-        exec_kwargs.get("binning", "vectorized") == "vectorized"
-        and not exec_kwargs.get("profile", False)
-    )
-    if fused_ok:
-        exec_kwargs.pop("binning", None)
-        exec_kwargs.pop("profile", None)
-        X = stack if stack is not None else np.stack(rows)
-        if executor is not None:
-            from .executor import ShardedExecutor
+    X = stack if stack is not None else np.stack(rows)
+    if executor is not None:
+        from .executor import ShardedExecutor
 
-            if isinstance(executor, int):
-                executor = ShardedExecutor(workers=executor)
-            if not isinstance(executor, ShardedExecutor):
+        if isinstance(executor, int):
+            executor = ShardedExecutor(workers=executor)
+        if not isinstance(executor, ShardedExecutor):
+            raise ParameterError(
+                f"executor must be a ShardedExecutor or an int worker "
+                f"count, got {type(executor).__name__}"
+            )
+        # The executor owns its FFT-backend binding; per-call
+        # fft_backend/fft_workers would silently fight it.
+        for key in ("fft_backend", "fft_workers"):
+            if key in exec_kwargs:
                 raise ParameterError(
-                    f"executor must be a ShardedExecutor or an int worker "
-                    f"count, got {type(executor).__name__}"
+                    f"pass {key} to the ShardedExecutor, not alongside "
+                    f"executor="
                 )
-            # The executor owns its FFT-backend binding; per-call
-            # fft_backend/fft_workers would silently fight it.
-            for key in ("fft_backend", "fft_workers"):
-                if key in exec_kwargs:
-                    raise ParameterError(
-                        f"pass {key} to the ShardedExecutor, not alongside "
-                        f"executor="
-                    )
-            return executor.run(X, plan, seed=seed, **exec_kwargs)
-        return sfft_batch_fused(X, plan, seed=seed, **exec_kwargs)
-    exec_kwargs.pop("fft_backend", None)
-    exec_kwargs.pop("fft_workers", None)
-    return [sfft(r, plan=plan, seed=seed, **exec_kwargs) for r in rows]
+        return executor.run(X, plan, seed=seed, **exec_kwargs)
+    return sfft_batch_fused(X, plan, seed=seed, **exec_kwargs)

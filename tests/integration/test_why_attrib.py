@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 sfft_mod = importlib.import_module("repro.core.sfft")
+from repro.core import PlanWorkspace
 from repro.core import ShardedExecutor
 from repro.obs import (
     MetricsRegistry,
@@ -75,13 +76,13 @@ class TestAttributionEndToEnd:
         assert gate.main(args) == 0  # recording mode
         capsys.readouterr()
 
-        real_binner = sfft_mod._BINNERS["vectorized"]
+        real_fold = PlanWorkspace._gather_fold
 
-        def slow_binner(*a, **kw):
+        def slow_fold(*a, **kw):
             time.sleep(0.01)
-            return real_binner(*a, **kw)
+            return real_fold(*a, **kw)
 
-        monkeypatch.setitem(sfft_mod._BINNERS, "vectorized", slow_binner)
+        monkeypatch.setattr(PlanWorkspace, "_gather_fold", slow_fold)
         runs.unlink()
         _write_runs(runs, plan, signal)
         assert gate.main(args) == 1

@@ -109,6 +109,12 @@ class TestInverseTransform:
         for f in res.locations:
             assert abs(res.as_dict()[int(f)] - ref[f]) < 1e-6 * np.abs(ref).max()
 
+    def test_isfft_keeps_profiling_trace(self):
+        x = make_sparse_signal(1 << 12, 6, seed=0).time
+        res = isfft(x, 6, seed=1, profile=True)
+        assert res.trace is not None
+        assert {sp.name for sp in res.trace.spans} >= set(res.step_times)
+
 
 class TestRealTransform:
     def test_symmetric_support_and_real_reconstruction(self):
@@ -135,6 +141,12 @@ class TestRealTransform:
         d = res.as_dict()
         assert 0 in d and abs(d[0].imag) == 0.0
 
+    def test_keeps_profiling_trace(self):
+        x = np.cos(2 * np.pi * 17 * np.arange(1 << 10) / (1 << 10))
+        res = rsfft(x, 2, seed=7, profile=True)
+        assert res.trace is not None
+        assert {sp.name for sp in res.trace.spans} >= set(res.step_times)
+
 
 class TestBatchTransform:
     def test_batch_matches_individual(self):
@@ -159,6 +171,15 @@ class TestBatchTransform:
     def test_needs_k_or_plan(self):
         with pytest.raises(ParameterError):
             sfft_batch([np.zeros(64, complex)])
+
+    @pytest.mark.parametrize("option", [{"binning": "serial"},
+                                        {"profile": True}])
+    def test_per_signal_only_options_rejected(self, option):
+        X = np.stack(
+            [make_sparse_signal(512, 3, seed=s).time for s in (1, 2)]
+        )
+        with pytest.raises(ParameterError):
+            sfft_batch(X, 3, **option)
 
 
 class TestTuning:
