@@ -807,8 +807,8 @@ def main(argv: list[str] | None = None) -> int:
     metrics = MetricsRegistry()
 
     # Echo where the transform's configuration came from (explicit kwargs,
-    # the wisdom store, environment overrides, or paper defaults) so a
-    # `--json` record proves wisdom consumption end to end.
+    # the wisdom store, or paper defaults) so a `--json` record proves
+    # wisdom consumption end to end.
     from .core.params import resolve_sfft_config
 
     demo_resolved = resolve_sfft_config(n, k)

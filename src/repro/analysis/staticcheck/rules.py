@@ -138,7 +138,7 @@ RULES: dict[str, Rule] = {r.id: r for r in (
         "param-resolution-bypass", "error",
         "hardcoded B=/loops= literal outside the resolution seam",
         "Bucket and loop counts resolve through repro.core.params "
-        "(explicit > wisdom > env > defaults); a constant B=/loops= "
+        "(explicit > wisdom > defaults); a constant B=/loops= "
         "keyword in plan or parameter construction pins a configuration "
         "the measured wisdom store can never improve.  Thread the value "
         "through the seam, or suppress where a fixed grid is the point.",
@@ -326,7 +326,7 @@ class _Visitor(ast.NodeVisitor):
                     "param-resolution-bypass", node,
                     f"hardcoded {kw.arg}={kw.value.value!r} in "
                     f"{chain[-1]}() — resolve through repro.core.params "
-                    f"(explicit > wisdom > env > defaults) so the wisdom "
+                    f"(explicit > wisdom > defaults) so the wisdom "
                     f"store stays authoritative",
                 )
 

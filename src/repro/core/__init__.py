@@ -30,8 +30,6 @@ from .estimation import (
 from .exact import ExactSfftStats, sfft_exact
 from .parameters import PROFILES, SfftParameters, derive_parameters
 from .params import (
-    ENV_B,
-    ENV_LOOPS,
     ENV_WISDOM,
     RESOLUTION_SOURCES,
     ResolvedConfig,
@@ -82,8 +80,6 @@ __all__ = [
     "PROFILES",
     "SfftParameters",
     "derive_parameters",
-    "ENV_B",
-    "ENV_LOOPS",
     "ENV_WISDOM",
     "RESOLUTION_SOURCES",
     "ResolvedConfig",

@@ -76,19 +76,14 @@ def sfft_batch_fused(
     trim_to_k: bool = True,
     strict: bool = False,
     seed: RngLike = None,
-    fft_backend: str | None = None,
-    fft_workers: int = 1,
 ) -> list[SparseFFTResult]:
     """Transform an ``(S, n)`` signal stack under one plan, fully batched.
 
     Parameters mirror :func:`~repro.core.sfft.sfft`'s execution options
     (``cutoff_method``, ``comb_width``/``comb_loops``, ``trim_to_k``,
     ``strict``); ``seed`` only seeds the Comb pre-filter's permutations,
-    exactly as it does in the per-signal driver.  ``fft_backend`` /
-    ``fft_workers`` select the bucket-FFT implementation (see
-    :mod:`repro.core.fft_backend`); the default resolves the process-wide
-    backend.  Returns one :class:`~repro.core.sfft.SparseFFTResult` per
-    stack row.
+    exactly as it does in the per-signal driver.  Returns one
+    :class:`~repro.core.sfft.SparseFFTResult` per stack row.
     """
     X = as_signal_stack(X, plan)
 
@@ -99,15 +94,8 @@ def sfft_batch_fused(
             X, plan, comb_width, comb_loops, seed
         )
 
-    if fft_backend is None and fft_workers == 1:
-        ws = plan.workspace()
-    else:
-        ws = plan.workspace().clone(
-            fft_backend=fft_backend, fft_workers=fft_workers
-        )
     return run_stack_pipeline(
         X, plan,
-        workspace=ws,
         cutoff_method=cutoff_method,
         residue_filters=residue_filters,
         trim_to_k=trim_to_k,

@@ -40,10 +40,9 @@ Concurrency hygiene mirrors the GPU resource model:
   the same split from shared memory (:meth:`PlanWorkspace.adopt_shared`)
   — shared immutable gather / tap matrices, per-worker scratch — the CPU
   analog of per-stream device buffers;
-* the bucket FFT resolves through the pluggable backend registry
-  (:mod:`repro.core.fft_backend`), so ``scipy``'s ``workers=`` fan-out (or
-  ``pyfftw`` threads) can parallelize *within* a shard while the pool
-  parallelizes *across* shards;
+* the bucket FFT resolves the process-default backend
+  (:mod:`repro.core.fft_backend`); process workers bind the backend the
+  parent resolves, so every mode runs the same FFT;
 * Comb masks (data-dependent, possibly Generator-seeded) are built
   serially in stack order before sharding, so seeding semantics match the
   serial engine exactly — in every mode and under every start method.
@@ -87,7 +86,6 @@ from ..errors import ExecutorError, ParameterError
 from ..obs import MetricsRegistry, Tracer, global_registry, monotonic
 from ..utils.rng import RngLike
 from .batch import as_signal_stack
-from .fft_backend import get_backend
 from .plan import SfftPlan
 from .sfft import SparseFFTResult, comb_masks_for_stack, run_stack_pipeline
 from .shm import (
@@ -252,13 +250,6 @@ class ShardedExecutor:
         shards per worker, so the pool always has a queued shard to start
         the moment a worker's current shard finishes (the double-buffering
         that makes gather/FFT overlap continuous rather than lockstep).
-    fft_backend:
-        Registered FFT backend name for the shards' bucket FFTs (``None``
-        = process default, see :mod:`repro.core.fft_backend`).  Unknown
-        names raise :class:`~repro.errors.ParameterError` here, at
-        construction.
-    fft_workers:
-        Intra-call thread fan-out handed to the backend (scipy/pyfftw).
     mode:
         ``"thread"`` (GIL-bound pool, zero setup cost) or ``"process"``
         (shared-memory process pool — scales Python-level stage work
@@ -281,8 +272,6 @@ class ShardedExecutor:
         workers: int = 1,
         *,
         shard_size: int | None = None,
-        fft_backend: str | None = None,
-        fft_workers: int = 1,
         mode: str | None = None,
         start_method: str = "forkserver",
     ):
@@ -292,12 +281,6 @@ class ShardedExecutor:
             raise ParameterError(
                 f"shard_size must be >= 1 (or None), got {shard_size}"
             )
-        if fft_workers < 1:
-            raise ParameterError(
-                f"fft_workers must be >= 1, got {fft_workers}"
-            )
-        if fft_backend is not None:
-            get_backend(fft_backend)  # unknown names fail fast, here
         if mode is None:
             mode = os.environ.get(MODE_ENV) or "thread"
         if mode not in EXECUTOR_MODES:
@@ -317,8 +300,6 @@ class ShardedExecutor:
             )
         self.workers = int(workers)
         self.shard_size = None if shard_size is None else int(shard_size)
-        self.fft_backend = fft_backend
-        self.fft_workers = int(fft_workers)
         self.mode = mode
         self.start_method = start_method
 
@@ -326,8 +307,6 @@ class ShardedExecutor:
         return (
             f"ShardedExecutor(workers={self.workers}, "
             f"shard_size={self.shard_size}, "
-            f"fft_backend={self.fft_backend!r}, "
-            f"fft_workers={self.fft_workers}, "
             f"mode={self.mode!r})"
         )
 
@@ -424,13 +403,15 @@ class ShardedExecutor:
         registry.gauge("sfft.executor.workers").set(nw)
         registry.counter("sfft.executor.shards").inc(len(bounds))
         registry.counter("sfft.executor.signals").inc(S)
-        wait_hist = registry.histogram("sfft.executor.queue_wait_s")
-        wait_hist.observe_many(waits)
+        registry.histogram("sfft.executor.queue_wait_s").observe_many(waits)
         # Tail visibility for the attribution layer: the histogram's sum
         # hides whether queue wait is spread thin or one shard starved.
-        for q, suffix in ((50, "p50"), (90, "p90"), (99, "p99")):
+        # The gauges describe this run's shards only, not the histogram's
+        # whole history.
+        tails = np.percentile(waits, [50, 90, 99])
+        for suffix, value in zip(("p50", "p90", "p99"), tails):
             registry.gauge(f"sfft.executor.queue_wait_{suffix}_s").set(
-                wait_hist.percentile(q)
+                float(value)
             )
         registry.histogram("sfft.executor.shard_wall_s").observe_many(busys)
         registry.histogram("sfft.executor.run_wall_s").observe(wall)
@@ -452,16 +433,14 @@ class ShardedExecutor:
         cutoff_method, trim_to_k, strict,
     ):
         # One leased workspace per worker: shared immutable gather/taps,
-        # private scratch and FFT-backend binding (double-buffered in the
-        # sense that a worker's next shard reuses its own buffers while
-        # other workers' shards are mid-flight).
+        # private scratch (double-buffered in the sense that a worker's
+        # next shard reuses its own buffers while other workers' shards
+        # are mid-flight).
         base = plan.workspace()
         pool: queue.SimpleQueue = queue.SimpleQueue()
         clones = []
         for w in range(nw):
-            clone = base.clone(
-                fft_backend=self.fft_backend, fft_workers=self.fft_workers,
-            )
+            clone = base.clone()
             clones.append(clone)
             pool.put((w, clone))
 
@@ -586,10 +565,7 @@ class ShardedExecutor:
             plan_bundle.close()
             raise
 
-        desc = describe_plan(
-            plan, plan_bundle.specs,
-            fft_backend=self.fft_backend, fft_workers=self.fft_workers,
-        )
+        desc = describe_plan(plan, plan_bundle.specs)
         options = {
             "cutoff_method": cutoff_method,
             "trim_to_k": trim_to_k,

@@ -77,10 +77,10 @@ class PlanCache:
     ) -> tuple | None:
         """Resolved cache key, or ``None`` when the call is uncacheable.
 
-        The key includes the *resolved* default FFT backend name: a plan's
-        lazily built workspace caches backend-sized scratch, and a
-        wisdom- or env-driven backend switch mid-process must never be
-        served a workspace planned under the previous backend.
+        The key includes the *resolved* default FFT backend name: filter
+        synthesis runs its FFTs through the backend, so a plan built under
+        one backend must not be served after the process switches to
+        another.
         """
         if isinstance(seed, np.random.Generator):
             return None

@@ -183,8 +183,8 @@ def run_stack_pipeline(
         raw = ws.bin_fused(X[0]) if S == 1 \
             else ws.bin_fused_stack(X).reshape(S * L, B)
 
-    # Step 3: one (S*L, B) batched bucket FFT through the workspace's
-    # backend binding.
+    # Step 3: one (S*L, B) batched bucket FFT through the process-default
+    # FFT backend.
     with stage("bucket_fft", B=B, batch=S * L):
         rows = ws.bucket_fft(raw).reshape(S, L, B)
 
@@ -311,8 +311,8 @@ def sfft(
             raise ParameterError("either k or a plan must be provided")
         x = as_complex_signal(x)
         # The resolution seam: explicit overrides win verbatim; otherwise
-        # a configured wisdom store, then env pins, then paper defaults
-        # (see repro.core.params).
+        # a configured wisdom store, then paper defaults (see
+        # repro.core.params).
         resolved = resolve_sfft_config(
             x.size, k, explicit=plan_overrides, comb_width=comb_width,
         )

@@ -65,6 +65,7 @@ import numpy as np
 
 from ..analysis.staticcheck.contracts import shape_contract
 from ..errors import ParameterError
+from .fft_backend import default_backend_name, set_default_backend
 
 __all__ = [
     "SharedArraySpec",
@@ -338,7 +339,8 @@ class PlanDescriptor:
     count) / optionally ``gather`` (absent above the workspace's gather
     cap — workers then regenerate rows on the fly, same as the thread
     path) to their shared locations.  ``token`` is the plan fingerprint
-    worker-side lease caching keys on.
+    worker-side lease caching keys on.  ``fft_backend`` is the FFT backend
+    the parent process resolves; workers bind it before running shards.
     """
 
     token: str
@@ -347,12 +349,11 @@ class PlanDescriptor:
     taus: tuple[int, ...]
     filter_meta: tuple
     arrays: dict[str, SharedArraySpec]
-    fft_backend: str | None
-    fft_workers: int
+    fft_backend: str
 
 
-def plan_fingerprint(plan, fft_backend: str | None, fft_workers: int) -> str:
-    """Stable identity of (plan schedule, FFT binding) for lease caching.
+def plan_fingerprint(plan) -> str:
+    """Stable identity of a plan's schedule for lease caching.
 
     Two runs over the same plan object — or equal plans — map to the same
     token, so warm workers reuse their materialized plan/workspace across
@@ -363,7 +364,6 @@ def plan_fingerprint(plan, fft_backend: str | None, fft_workers: int) -> str:
         p.n, p.k, p.B, p.loops, p.vote_threshold, p.select_count,
         p.window, p.tolerance, p.lobefrac, p.loc_loops,
         tuple((q.sigma, q.tau) for q in plan.permutations),
-        fft_backend, fft_workers,
     )).encode()
     return hashlib.sha1(payload).hexdigest()[:16]
 
@@ -389,13 +389,7 @@ def plan_shared_arrays(plan, workspace) -> dict[str, np.ndarray]:
     return arrays
 
 
-def describe_plan(
-    plan,
-    specs: dict[str, SharedArraySpec],
-    *,
-    fft_backend: str | None,
-    fft_workers: int,
-) -> PlanDescriptor:
+def describe_plan(plan, specs: dict[str, SharedArraySpec]) -> PlanDescriptor:
     """Build the :class:`PlanDescriptor` for packed plan arrays."""
     p = plan.params
     arrays = dict(specs)
@@ -404,7 +398,7 @@ def describe_plan(
         # the shared layout aliases the same bytes.
         arrays["taps_flat"] = arrays["filter_time"]
     return PlanDescriptor(
-        token=plan_fingerprint(plan, fft_backend, fft_workers),
+        token=plan_fingerprint(plan),
         params=(
             p.n, p.k, p.B, p.loops, p.vote_threshold, p.select_count,
             p.window, p.tolerance, p.lobefrac, p.loc_loops,
@@ -416,8 +410,7 @@ def describe_plan(
             plan.filt.tolerance, plan.filt.box_width,
         ),
         arrays=arrays,
-        fft_backend=fft_backend,
-        fft_workers=fft_workers,
+        fft_backend=default_backend_name(),
     )
 
 
@@ -488,7 +481,11 @@ def worker_lease(desc: PlanDescriptor) -> WorkerLease:
     dict lookup; a miss attaches the plan segment, rebuilds the plan, and
     builds a workspace that adopts the shared gather/taps.  Old leases
     evict LRU at :data:`WORKER_PLAN_CACHE_CAP`, closing their mappings.
+    Either way the worker's process-default FFT backend is first bound to
+    the parent's (``desc.fft_backend``).
     """
+    if default_backend_name() != desc.fft_backend:
+        set_default_backend(desc.fft_backend)
     lease = _WORKER_LEASES.get(desc.token)
     if lease is not None:
         _WORKER_LEASES.move_to_end(desc.token)
@@ -508,11 +505,7 @@ def worker_lease(desc: PlanDescriptor) -> WorkerLease:
             return spec.as_array(by_name[spec.segment])
 
         plan = _materialize_plan(desc, view)
-        workspace = PlanWorkspace(
-            plan,
-            fft_backend=desc.fft_backend,
-            fft_workers=desc.fft_workers,
-        )
+        workspace = PlanWorkspace(plan)
         workspace.adopt_shared(
             taps_flat=view("taps_flat"),
             gather=view("gather") if "gather" in desc.arrays else None,

@@ -24,23 +24,17 @@ __all__ = ["bucket_fft", "subsample_spectrum"]
 
 
 @shape_contract("buckets:* -> *", dtype="complex128")
-def bucket_fft(
-    buckets: np.ndarray,
-    *,
-    backend: str | None = None,
-    workers: int = 1,
-) -> np.ndarray:
+def bucket_fft(buckets: np.ndarray) -> np.ndarray:
     """FFT the buckets of one loop (1-D) or all loops batched (2-D, last axis).
 
-    Matches the batched-cuFFT call of the paper's step 3.  ``backend``
-    names a registered FFT backend (default: the process default — see
-    :func:`repro.core.fft_backend.get_backend`); ``workers`` is the
-    intra-call thread fan-out for backends that support it.
+    Matches the batched-cuFFT call of the paper's step 3, through the
+    process-default FFT backend (see
+    :func:`repro.core.fft_backend.get_backend`).
     """
     b = np.asarray(buckets, dtype=np.complex128)
     if b.ndim not in (1, 2):
         raise ParameterError(f"buckets must be 1-D or 2-D, got shape {b.shape}")
-    return get_backend(backend).fft(b, axis=-1, workers=workers)
+    return get_backend().fft(b, axis=-1)
 
 
 @shape_contract("spectrum:*, B:* -> (b,)", bind={"b": "B"})

@@ -90,7 +90,7 @@ def rsfft(x, k: int | None = None, **kwargs) -> SparseFFTResult:
 
 
 _EXEC_KEYS = ("cutoff_method", "comb_width", "comb_loops", "trim_to_k",
-              "strict", "fft_backend", "fft_workers")
+              "strict")
 
 
 def sfft_batch(
@@ -118,12 +118,14 @@ def sfft_batch(
     whatever ``REPRO_EXECUTOR_MODE`` says; construct the executor
     explicitly for ``mode="process"``, the shared-memory process pool).
     Sharded results are bit-identical to the serial fused engine in every
-    mode.  ``fft_backend`` / ``fft_workers`` keyword arguments select the
-    bucket-FFT implementation (:mod:`repro.core.fft_backend`).
+    mode.  The bucket FFT runs through the process-default backend
+    (:func:`repro.core.fft_backend.set_default_backend`).
 
     ``binning`` and ``profile`` raise :class:`~repro.errors.ParameterError`:
     the pipeline has one binning kernel, and per-step timing belongs to
     single calls (``sfft(x, profile=True)``) or an executor ``tracer``.
+    So does any plan-derivation override passed alongside ``plan``, as in
+    :func:`~repro.core.sfft.sfft`.
     """
     for key in ("binning", "profile"):
         if key in kwargs:
@@ -144,16 +146,16 @@ def sfft_batch(
     for r in rows:
         if r.size != n:
             raise ParameterError("all batch signals must share one length")
+    plan_kwargs = {
+        key: val for key, val in kwargs.items() if key not in _EXEC_KEYS
+    }
     if plan is None:
         if k is None:
             raise ParameterError("either k or a plan must be provided")
-        plan_kwargs = {
-            key: val for key, val in kwargs.items() if key not in _EXEC_KEYS
-        }
         # The resolution seam (repro.core.params): a wisdom hit supplies
         # B/loops/comb for the plan plus — because the batch surface owns
-        # them — the execution knobs (backend, executor mode, workers,
-        # shard size), never overriding anything the caller pinned.
+        # it — the worker count, never overriding anything the caller
+        # pinned.
         resolved = resolve_sfft_config(
             n, k, batch_size=len(rows), explicit=plan_kwargs,
             comb_width=kwargs.get("comb_width"),
@@ -163,23 +165,13 @@ def sfft_batch(
             if kwargs.get("comb_width") is None \
                     and resolved.comb_width is not None:
                 kwargs["comb_width"] = resolved.comb_width
-            explicit_exec = (
-                executor is not None
-                or kwargs.get("fft_backend") is not None
-                or kwargs.get("fft_workers") is not None
-            )
-            if not explicit_exec:
-                if resolved.executor_mode is not None or resolved.workers > 1:
-                    from .executor import ShardedExecutor
-
-                    executor = ShardedExecutor(
-                        workers=resolved.workers,
-                        shard_size=resolved.shard_size,
-                        fft_backend=resolved.fft_backend,
-                        mode=resolved.executor_mode,
-                    )
-                elif resolved.fft_backend is not None:
-                    kwargs["fft_backend"] = resolved.fft_backend
+            if executor is None and resolved.workers > 1:
+                executor = resolved.workers
+    elif plan_kwargs:
+        raise ParameterError(
+            f"unexpected options {sorted(plan_kwargs)}: plan derivation "
+            f"overrides do not apply to an explicit plan"
+        )
     exec_kwargs = {
         key: val for key, val in kwargs.items() if key in _EXEC_KEYS
     }
@@ -194,13 +186,5 @@ def sfft_batch(
                 f"executor must be a ShardedExecutor or an int worker "
                 f"count, got {type(executor).__name__}"
             )
-        # The executor owns its FFT-backend binding; per-call
-        # fft_backend/fft_workers would silently fight it.
-        for key in ("fft_backend", "fft_workers"):
-            if key in exec_kwargs:
-                raise ParameterError(
-                    f"pass {key} to the ShardedExecutor, not alongside "
-                    f"executor="
-                )
         return executor.run(X, plan, seed=seed, **exec_kwargs)
     return sfft_batch_fused(X, plan, seed=seed, **exec_kwargs)

@@ -92,19 +92,9 @@ class PlanWorkspace:
     gather_cap:
         Override for :data:`GATHER_ELEMENT_CAP` (tests exercise the
         fallback path without paying for a huge plan).
-    fft_backend:
-        Name of the FFT backend :meth:`bucket_fft` resolves (``None`` =
-        process default); ``fft_workers`` is its intra-call thread fan-out.
     """
 
-    def __init__(
-        self,
-        plan,
-        *,
-        gather_cap: int | None = None,
-        fft_backend: str | None = None,
-        fft_workers: int = 1,
-    ):
+    def __init__(self, plan, *, gather_cap: int | None = None):
         params = plan.params
         self.plan = plan
         self.n = params.n
@@ -126,8 +116,6 @@ class PlanWorkspace:
             global_registry().counter(
                 "sfft.workspace.gather_cap_fallback"
             ).inc()
-        self.fft_backend = fft_backend
-        self.fft_workers = int(fft_workers)
         self._gather: np.ndarray | None = None
         self._taps_flat: np.ndarray | None = None
         self._taps_matrix: np.ndarray | None = None
@@ -210,31 +198,18 @@ class PlanWorkspace:
 
     # -- concurrency -------------------------------------------------------
 
-    def clone(
-        self,
-        *,
-        fft_backend: str | None = None,
-        fft_workers: int | None = None,
-    ) -> "PlanWorkspace":
+    def clone(self) -> "PlanWorkspace":
         """A private twin for a concurrent worker: shared indices, own scratch.
 
         The derived arrays (gather matrix, padded taps) are immutable on
         the hot path, so the clone *shares* them — an N-worker pool pays
         index precomputation once — while the mutable scratch (``raw``,
-        ``scores``) is freshly allocated per clone.  ``fft_backend`` /
-        ``fft_workers`` override the parent's FFT dispatch for this clone.
+        ``scores``) is freshly allocated per clone.
         """
         if self._materialize_gather:
             _ = self.gather  # build once here, before sharing
         _ = self.taps_flat
-        twin = PlanWorkspace(
-            self.plan,
-            gather_cap=self._gather_cap,
-            fft_backend=self.fft_backend if fft_backend is None
-            else fft_backend,
-            fft_workers=self.fft_workers if fft_workers is None
-            else fft_workers,
-        )
+        twin = PlanWorkspace(self.plan, gather_cap=self._gather_cap)
         twin._gather = self._gather
         twin._taps_flat = self._taps_flat
         twin._taps_matrix = self._taps_matrix
@@ -282,15 +257,8 @@ class PlanWorkspace:
 
     @shape_contract("buckets:(M, K) -> (M, K)", dtype="complex128")
     def bucket_fft(self, buckets: np.ndarray) -> np.ndarray:
-        """Step 3 through this workspace's FFT backend binding.
-
-        Same transform as :func:`repro.core.subsampled.bucket_fft`, with
-        the backend/worker fan-out chosen at workspace construction (the
-        sharded executor binds them per worker).
-        """
-        return _dispatch_bucket_fft(
-            buckets, backend=self.fft_backend, workers=self.fft_workers
-        )
+        """Step 3: :func:`repro.core.subsampled.bucket_fft` on the buckets."""
+        return _dispatch_bucket_fft(buckets)
 
     # -- fused binning -----------------------------------------------------
 

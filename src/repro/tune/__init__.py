@@ -13,7 +13,7 @@ itself* per workload class and the core transparently picks the winners.
 * :mod:`~repro.tune.cli` — ``python -m repro tune``.
 
 Consumption lives in :mod:`repro.core.params` (the resolution seam):
-explicit kwargs > wisdom store (``$REPRO_WISDOM``) > env > paper defaults.
+explicit kwargs > wisdom store (``$REPRO_WISDOM``) > paper defaults.
 
 Note the existing :mod:`repro.tuning` is the *modeled* (analytic) tuner;
 this package is its measured counterpart, the FFTW-wisdom analogue.

@@ -1,15 +1,14 @@
 """Workload classes and the tuner's candidate configuration space.
 
 The search axes are exactly the knobs the paper hand-tunes per ``(n, k)``
-point plus the execution knobs later PRs added:
+point plus the worker count:
 
 * ``B_scale`` — bucket count relative to the derived default (powers of
   two only, so every candidate ``B`` still divides ``n``);
 * ``loops`` — the location/estimation loop count ``L``;
 * ``comb_width`` — the sFFT-2.0 Comb pre-filter, on (a width) or off;
-* ``fft_backend`` / ``executor_mode`` / ``workers`` / ``shard_size`` —
-  the bucket-FFT vendor and the sharded-executor geometry (batch classes
-  only; a single transform has no stack to shard).
+* ``workers`` — the sharded-executor width (batch classes only; a single
+  transform has no stack to shard).
 
 The grid is an *axis sweep* around the derived default (FFTW's "patience"
 economics, not a full cross product): each axis varies alone, plus the one
@@ -23,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
-from ..core.fft_backend import available_backends, default_backend_name
 from ..core.parameters import derive_parameters
 from ..errors import ParameterError
 from ..utils.modmath import next_power_of_two
@@ -72,10 +70,7 @@ class Candidate:
     B_scale: float = 1.0
     loops: int | None = None
     comb_width: int | None = None
-    fft_backend: str | None = None
-    executor_mode: str | None = None
     workers: int = 1
-    shard_size: int | None = None
 
     @property
     def is_default(self) -> bool:
@@ -105,10 +100,7 @@ class Candidate:
             "B_scale": float(self.B_scale),
             "loops": self.loops,
             "comb_width": self.comb_width,
-            "fft_backend": self.fft_backend,
-            "executor_mode": self.executor_mode,
             "workers": int(self.workers),
-            "shard_size": self.shard_size,
         }
 
     def label(self) -> str:
@@ -122,12 +114,8 @@ class Candidate:
             parts.append(f"L={self.loops}")
         if self.comb_width is not None:
             parts.append(f"comb={self.comb_width}")
-        if self.fft_backend is not None:
-            parts.append(self.fft_backend)
-        if self.executor_mode is not None or self.workers > 1:
-            parts.append(f"{self.executor_mode or 'thread'}x{self.workers}")
-        if self.shard_size is not None:
-            parts.append(f"shard={self.shard_size}")
+        if self.workers > 1:
+            parts.append(f"workers={self.workers}")
         return "+".join(parts) or "default"
 
 
@@ -167,19 +155,10 @@ def generate_candidates(
         cands.append(Candidate(comb_width=comb))
 
     if wc.batch_size > 1:
-        # Execution axes only make sense with a stack to shard.
-        default_backend = default_backend_name()
-        for name in available_backends():
-            if name != default_backend:
-                cands.append(Candidate(fft_backend=name))
-        for workers in (2,):
-            cands.append(
-                Candidate(executor_mode="thread", workers=workers)
-            )
-            if default_loops != 6:
-                cands.append(Candidate(
-                    loops=6, executor_mode="thread", workers=workers
-                ))
+        # The worker axis only makes sense with a stack to shard.
+        cands.append(Candidate(workers=2))
+        if default_loops != 6:
+            cands.append(Candidate(loops=6, workers=2))
 
     # De-duplicate while preserving order (axis sweeps can coincide).
     seen: set[Candidate] = set()

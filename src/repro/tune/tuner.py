@@ -144,22 +144,12 @@ def _build_runner(
         return run
 
     stack = np.stack(xs)
-    executor = None
-    kwargs: dict[str, Any] = {}
-    if cand.executor_mode is not None or cand.workers > 1:
-        from ..core.executor import ShardedExecutor
-
-        executor = ShardedExecutor(
-            workers=cand.workers, shard_size=cand.shard_size,
-            fft_backend=cand.fft_backend, mode=cand.executor_mode,
-        )
-    elif cand.fft_backend is not None:
-        kwargs["fft_backend"] = cand.fft_backend
+    # The same ``executor=N`` shorthand a wisdom hit applies on consumption.
+    executor = cand.workers if cand.workers > 1 else None
 
     def run() -> Any:
         return sfft_batch(
-            stack, plan=plan, executor=executor,
-            comb_width=cand.comb_width, **kwargs,
+            stack, plan=plan, executor=executor, comb_width=cand.comb_width,
         )
 
     return run

@@ -3,7 +3,7 @@
 The executor's contract is exact equality with the serial fused engine
 (``locations``, ``values``, ``votes`` — no tolerance) for *every*
 execution mode (GIL-bound threads and the shared-memory process pool),
-worker count, shard size, and available FFT backend, and
+worker count, shard size, and available process-default FFT backend, and
 float-tolerance agreement with the solo per-signal driver.  Any
 divergence means a stage leaked state across shard boundaries, the
 shared-memory descriptors didn't round-trip a plan exactly, or a
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ShardedExecutor, sfft, sfft_batch_fused
-from repro.core.fft_backend import available_backends
+from repro.core.fft_backend import available_backends, set_default_backend
 from repro.signals import make_sparse_signal
 from tests.conftest import cached_plan
 
@@ -49,14 +49,19 @@ def test_executor_bit_identical_to_fused(
     n = 1 << logn
     plan = cached_plan(n, k)
     X = _stack(n, k, S, seed)
-    serial = sfft_batch_fused(X, plan)
     ex = ShardedExecutor(
         workers=workers,
         shard_size=_shard_size(shard_choice, S),
-        fft_backend=backend,
         mode=mode,
     )
-    sharded = ex.run(X, plan)
+    # The backend is a process setting: both runs resolve it, and process
+    # workers bind the parent's.
+    set_default_backend(backend)
+    try:
+        serial = sfft_batch_fused(X, plan)
+        sharded = ex.run(X, plan)
+    finally:
+        set_default_backend(None)
     assert len(sharded) == S
     for s in range(S):
         np.testing.assert_array_equal(

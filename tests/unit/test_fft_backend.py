@@ -4,14 +4,18 @@ The registry is the vendor seam every dense FFT goes through, so its
 failure modes are contractual: explicit unknown names must raise, ambient
 misconfiguration (env var, missing optional dependency) must fall back to
 numpy with a logged warning, and resolution order must be explicit name >
-process default > environment > numpy.
+process default > environment > numpy.  The backend is a process setting,
+so the process-mode executor's workers must run the parent's.
 """
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core import ShardedExecutor, make_plan
+from repro.core.executor import _process_pool
 from repro.core.fft_backend import (
     ENV_VAR,
     FftBackend,
@@ -22,7 +26,15 @@ from repro.core.fft_backend import (
     registered_backends,
     set_default_backend,
 )
+from repro.core.shm import (
+    SegmentBundle,
+    describe_plan,
+    plan_shared_arrays,
+    worker_cache_clear,
+    worker_lease,
+)
 from repro.errors import ParameterError
+from repro.signals import make_sparse_signal
 
 
 @pytest.fixture(autouse=True)
@@ -164,3 +176,51 @@ def _tagged(tag):
             return np.fft.fft(a, axis=axis)
 
     return Tagged()
+
+
+# -- process workers follow the parent's backend ------------------------------
+
+@pytest.fixture
+def scipy_default():
+    if "scipy" not in available_backends():
+        pytest.skip("scipy not installed")
+    set_default_backend("scipy")  # clean_registry_state resets it
+
+
+@pytest.fixture
+def small_plan():
+    return make_plan(1024, 4, seed=17)
+
+
+def test_descriptor_carries_the_parent_backend(scipy_default, small_plan):
+    arrays = plan_shared_arrays(small_plan, small_plan.workspace())
+    with SegmentBundle.create(arrays, label="sfft-plan") as bundle:
+        desc = describe_plan(small_plan, bundle.specs)
+    assert desc.fft_backend == "scipy"
+
+
+def test_worker_lease_binds_the_descriptor_backend(small_plan):
+    if "scipy" not in available_backends():
+        pytest.skip("scipy not installed")
+    arrays = plan_shared_arrays(small_plan, small_plan.workspace())
+    with SegmentBundle.create(arrays, label="sfft-plan") as bundle:
+        desc = describe_plan(small_plan, bundle.specs)
+        assert desc.fft_backend == "numpy"
+        try:
+            worker_lease(replace(desc, fft_backend="scipy"))
+            assert default_backend_name() == "scipy"
+            # A cached lease still rebinds when the parent switches back.
+            worker_lease(replace(desc, fft_backend="numpy"))
+            assert default_backend_name() == "numpy"
+        finally:
+            worker_cache_clear()
+
+
+def test_process_workers_run_the_parent_backend(scipy_default, small_plan):
+    X = np.stack([
+        make_sparse_signal(1024, 4, seed=40 + t).time for t in range(2)
+    ])
+    ShardedExecutor(workers=1, mode="process").run(X, small_plan)
+    # The pool's one worker ran every shard; ask it what it resolves now.
+    worker = _process_pool(1, "forkserver").submit(default_backend_name)
+    assert worker.result() == "scipy"

@@ -68,9 +68,9 @@ class TestKeying:
         assert cache.stats()["hits"] == 1
 
     def test_default_backend_is_part_of_the_key(self):
-        # A plan's lazily built workspace caches backend-sized scratch; a
-        # wisdom- or env-driven backend switch mid-process must never be
-        # served a workspace planned under the previous backend.
+        # Filter synthesis runs its FFTs through the backend, so a plan
+        # built under one backend must not be served after the process
+        # switches to another.
         from repro.core.fft_backend import set_default_backend
 
         cache = PlanCache()

@@ -128,21 +128,18 @@ class TestPlanDescriptors:
     def plan(self):
         return make_plan(1024, 4, seed=17)
 
-    def test_fingerprint_is_deterministic_and_binding_sensitive(self, plan):
-        fp = plan_fingerprint(plan, None, 1)
-        assert fp == plan_fingerprint(plan, None, 1)
-        assert fp != plan_fingerprint(plan, "numpy", 1)
-        assert fp != plan_fingerprint(plan, None, 2)
+    def test_fingerprint_is_deterministic_and_plan_sensitive(self, plan):
+        fp = plan_fingerprint(plan)
+        assert fp == plan_fingerprint(plan)
+        assert fp == plan_fingerprint(make_plan(1024, 4, seed=17))
         other = make_plan(1024, 4, seed=18)
-        assert fp != plan_fingerprint(other, None, 1)
+        assert fp != plan_fingerprint(other)
 
     def test_worker_lease_materializes_identical_plan(self, plan):
         ws = PlanWorkspace(plan)
         arrays = plan_shared_arrays(plan, ws)
         with SegmentBundle.create(arrays, label="sfft-plan") as bundle:
-            desc = describe_plan(
-                plan, bundle.specs, fft_backend=None, fft_workers=1
-            )
+            desc = describe_plan(plan, bundle.specs)
             try:
                 lease = worker_lease(desc)
                 assert lease.plan.params == plan.params
@@ -172,9 +169,7 @@ class TestPlanDescriptors:
         bundle = SegmentBundle.create(
             plan_shared_arrays(plan, ws), label="sfft-plan"
         )
-        desc = describe_plan(
-            plan, bundle.specs, fft_backend=None, fft_workers=1
-        )
+        desc = describe_plan(plan, bundle.specs)
         try:
             lease = worker_lease(desc)
             bundle.close()  # name gone from /dev/shm...

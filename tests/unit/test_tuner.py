@@ -27,9 +27,8 @@ TINY = TuneConfig(trials=2, probes=1, reps=1)
 
 @pytest.fixture(autouse=True)
 def clean_resolution_env(monkeypatch):
-    """The tuner measures raw configs; ambient pins would skew probes."""
-    for var in ("REPRO_WISDOM", "REPRO_SFFT_B", "REPRO_SFFT_LOOPS"):
-        monkeypatch.delenv(var, raising=False)
+    """The tuner measures raw configs; ambient wisdom would skew probes."""
+    monkeypatch.delenv("REPRO_WISDOM", raising=False)
 
 
 class TestWorkloadClass:
@@ -65,14 +64,13 @@ class TestCandidate:
         assert cand.resolved(N, K)["loops"] == 6
 
     def test_config_round_trips_through_candidate_from_config(self):
-        cand = Candidate(B_scale=0.5, loops=6, workers=2,
-                         executor_mode="thread")
+        cand = Candidate(B_scale=0.5, loops=6, workers=2)
         assert candidate_from_config(cand.config()) == cand
 
     def test_labels_name_every_axis(self):
         label = Candidate(B_scale=0.5, loops=6, comb_width=64,
-                          executor_mode="process", workers=2).label()
-        for bit in ("B*0.5", "L=6", "comb=64", "processx2"):
+                          workers=2).label()
+        for bit in ("B*0.5", "L=6", "comb=64", "workers=2"):
             assert bit in label
 
 
@@ -85,7 +83,7 @@ class TestGenerateCandidates:
 
     def test_single_classes_have_no_executor_axes(self):
         for cand in generate_candidates(WorkloadClass(N, K)):
-            assert cand.executor_mode is None and cand.workers == 1
+            assert cand.workers == 1
 
     def test_batch_classes_add_executor_axes(self):
         cands = generate_candidates(WorkloadClass(N, K, batch_size=8))

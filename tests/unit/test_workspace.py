@@ -88,17 +88,6 @@ class TestWorkspaceClone:
         assert a is not b  # distinct scratch buffers
         np.testing.assert_array_equal(a, b)
 
-    def test_clone_rebinds_fft_backend(self, plan_small, rng):
-        twin = plan_small.workspace().clone(fft_backend="numpy",
-                                            fft_workers=2)
-        assert twin.fft_backend == "numpy"
-        assert twin.fft_workers == 2
-        buckets = (rng.standard_normal((3, 8))
-                   + 1j * rng.standard_normal((3, 8)))
-        np.testing.assert_array_equal(
-            twin.bucket_fft(buckets), np.fft.fft(buckets, axis=-1)
-        )
-
     def test_clone_preserves_gather_cap_fallback(self, plan_small):
         capped = PlanWorkspace(plan_small, gather_cap=0)
         twin = capped.clone()
