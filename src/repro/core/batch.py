@@ -70,18 +70,13 @@ def sfft_batch_fused(
     X: np.ndarray,
     plan: SfftPlan,
     *,
-    cutoff_method: str = "topk",
     comb_width: int | None = None,
-    comb_loops: int = 3,
-    trim_to_k: bool = True,
-    strict: bool = False,
     seed: RngLike = None,
 ) -> list[SparseFFTResult]:
     """Transform an ``(S, n)`` signal stack under one plan, fully batched.
 
-    Parameters mirror :func:`~repro.core.sfft.sfft`'s execution options
-    (``cutoff_method``, ``comb_width``/``comb_loops``, ``trim_to_k``,
-    ``strict``); ``seed`` only seeds the Comb pre-filter's permutations,
+    ``comb_width`` enables the Comb pre-filter as in
+    :func:`~repro.core.sfft.sfft`; ``seed`` only seeds its permutations,
     exactly as it does in the per-signal driver.  Returns one
     :class:`~repro.core.sfft.SparseFFTResult` per stack row.
     """
@@ -90,14 +85,6 @@ def sfft_batch_fused(
     # Optional sFFT-2.0 Comb screen.
     residue_filters = None
     if comb_width is not None:
-        residue_filters = comb_masks_for_stack(
-            X, plan, comb_width, comb_loops, seed
-        )
+        residue_filters = comb_masks_for_stack(X, plan, comb_width, seed)
 
-    return run_stack_pipeline(
-        X, plan,
-        cutoff_method=cutoff_method,
-        residue_filters=residue_filters,
-        trim_to_k=trim_to_k,
-        strict=strict,
-    )
+    return run_stack_pipeline(X, plan, residue_filters=residue_filters)

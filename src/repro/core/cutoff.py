@@ -16,6 +16,10 @@ Two strategies, matching the paper:
 statistics themselves: with ``B >> k``, the median bucket magnitude *is* the
 noise level, so a constant multiple of it separates signal from noise — the
 "empirically obtained" threshold of Section V-B made deterministic.
+
+The CPU pipeline selects top-``m`` only (:func:`cutoff_rows`); the
+threshold path serves the GPU model's Algorithm-6 kernel
+(:mod:`repro.gpu.kernels.select`).
 """
 
 from __future__ import annotations
@@ -98,7 +102,8 @@ def cutoff(
     threshold_factor: float = 4.0,
     cap_factor: int = 4,
 ) -> np.ndarray:
-    """Unified cutoff entry point used by the transforms.
+    """Single-row cutoff: the GPU model's sort&select and fast-select
+    kernels call it (:mod:`repro.gpu.kernels.select`).
 
     ``method="topk"`` is the exact baseline; ``method="threshold"`` the fast
     single-pass variant with a ``cap_factor * m`` survivor cap and a top-k
@@ -122,33 +127,29 @@ def cutoff_rows(
     m: int,
     *,
     method: str = "topk",
-    threshold_factor: float = 4.0,
-    cap_factor: int = 4,
 ) -> list[np.ndarray]:
-    """Per-row cutoff over a 2-D magnitude matrix — one call, all loops.
+    """Per-row top-``m`` cutoff over a 2-D magnitude matrix — one call, all
+    loops.
 
-    The fused execution engine computes ``|Z|`` for every voting row at
-    once (a ``(rows, B)`` matrix spanning all loops, and all signals in the
+    The pipeline computes ``|Z|`` for every voting row at once (a
+    ``(rows, B)`` matrix spanning all loops, and all signals in the
     batched case) and selects here with a single batched ``argpartition``
     instead of a Python-level loop of :func:`select_topk` calls.  Row ``r``
-    of the result is element-for-element what ``cutoff(magnitudes[r], m,
-    method=...)`` returns.
+    of the result is element-for-element what ``cutoff(magnitudes[r], m)``
+    returns.
 
-    ``method="threshold"`` stays per-row (its noise floor is a data-
-    dependent median of each row).
+    The CPU pipeline always selects top-``m``: ``argpartition`` is already
+    ``O(B)``, so the single-pass threshold of Algorithm 6 (which wins on
+    the GPU by replacing an ``O(B log B)`` sort) only measured slower here.
+    It stays in :func:`cutoff` for the GPU model.  ``method`` accepts only
+    ``"topk"``.
     """
+    if method != "topk":
+        raise ParameterError(f"unknown cutoff method {method!r}")
     mags = np.asarray(magnitudes)
     if mags.ndim != 2:
         raise ParameterError(f"magnitudes must be 2-D, got shape {mags.shape}")
     B = mags.shape[1]
-    if method == "threshold":
-        return [
-            cutoff(row, m, method="threshold",
-                   threshold_factor=threshold_factor, cap_factor=cap_factor)
-            for row in mags
-        ]
-    if method != "topk":
-        raise ParameterError(f"unknown cutoff method {method!r}")
     if not 1 <= m <= B:
         raise ParameterError(f"m={m} must be in [1, {B}]")
     if m == B:

@@ -168,19 +168,15 @@ def _process_shard(
     idx: int,
     lo: int,
     hi: int,
-    options: dict,
     want_stages: bool,
     kill: bool,
 ):
     """One shard, executed inside a pool worker process.
 
     Attaches the run's data segment, runs the pipeline against the
-    worker's cached plan lease, writes result rows into the shared output
-    arrays (or returns them pickled when the run asked for untrimmed
-    results), and ships stage timings home on the parent's monotonic
-    timebase.  Raises exactly what the pipeline raises — a strict
-    :class:`~repro.errors.RecoveryError` crosses the process boundary
-    naming the same global signal index.
+    worker's cached plan lease, writes result rows into the shared
+    ``(S, k)`` output arrays, and ships stage timings home on the parent's
+    monotonic timebase.  Raises exactly what the pipeline raises.
     """
     t_pick = monotonic()
     if kill:
@@ -202,30 +198,20 @@ def _process_shard(
         out = run_stack_pipeline(
             stack[lo:hi], lease.plan,
             workspace=lease.workspace,
-            cutoff_method=options["cutoff_method"],
             residue_filters=None if masks is None else masks[lo:hi],
-            trim_to_k=options["trim_to_k"],
-            strict=options["strict"],
-            signal_offset=lo,
             stage=stage,
         )
-        if "out_locations" in data_specs:
-            out_locs = data.view(data_specs["out_locations"], writeable=True)
-            out_vals = data.view(data_specs["out_values"], writeable=True)
-            out_votes = data.view(data_specs["out_votes"], writeable=True)
-            out_counts = data.view(data_specs["out_counts"], writeable=True)
-            for j, res in enumerate(out):
-                s = lo + j
-                c = res.locations.size
-                out_counts[s] = c
-                out_locs[s, :c] = res.locations
-                out_vals[s, :c] = res.values
-                out_votes[s, :c] = res.votes
-            results = None
-        else:
-            # Untrimmed runs have no per-signal size bound, so the shared
-            # (S, k) output layout cannot hold them; fall back to pickling.
-            results = [(r.locations, r.values, r.votes) for r in out]
+        out_locs = data.view(data_specs["out_locations"], writeable=True)
+        out_vals = data.view(data_specs["out_values"], writeable=True)
+        out_votes = data.view(data_specs["out_votes"], writeable=True)
+        out_counts = data.view(data_specs["out_counts"], writeable=True)
+        for j, res in enumerate(out):
+            s = lo + j
+            c = res.locations.size
+            out_counts[s] = c
+            out_locs[s, :c] = res.locations
+            out_vals[s, :c] = res.values
+            out_votes[s, :c] = res.votes
     finally:
         data.close()
     return {
@@ -233,7 +219,6 @@ def _process_shard(
         "t_pick": t_pick,
         "t_end": monotonic(),
         "stages": spans,
-        "results": results,
     }
 
 
@@ -326,18 +311,14 @@ class ShardedExecutor:
         X: np.ndarray,
         plan: SfftPlan,
         *,
-        cutoff_method: str = "topk",
         comb_width: int | None = None,
-        comb_loops: int = 3,
-        trim_to_k: bool = True,
-        strict: bool = False,
         seed: RngLike = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> list[SparseFFTResult]:
         """Transform an ``(S, n)`` stack; results match the serial engine.
 
-        Execution options mirror :func:`~repro.core.batch.sfft_batch_fused`
+        ``comb_width`` and ``seed`` mirror :func:`~repro.core.batch.sfft_batch_fused`
         (which also defines the reference output this method is
         bit-identical to, in both modes).  ``tracer`` receives per-shard
         stage spans on per-worker tracks; ``metrics`` (default: the global
@@ -361,31 +342,24 @@ class ShardedExecutor:
             # permutation sequence the serial engine would — regardless of
             # mode or start method.
             t0 = monotonic()
-            masks = comb_masks_for_stack(
-                X, plan, comb_width, comb_loops, seed
-            )
+            masks = comb_masks_for_stack(X, plan, comb_width, seed)
             if tracer is not None:
                 tracer.add_span(
                     "comb", start_s=t0 - run_t0,
                     duration_s=monotonic() - t0,
                     category="executor", track=EXECUTOR_TRACK, depth=1,
-                    attrs={"W": comb_width, "loops": comb_loops,
-                           "parent": "executor.run"},
+                    attrs={"W": comb_width, "parent": "executor.run"},
                 )
 
         if self.mode == "process":
             results, waits, busys = self._run_processes(
                 X, plan, bounds=bounds, nw=nw, masks=masks, run_t0=run_t0,
                 registry=registry, tracer=tracer,
-                cutoff_method=cutoff_method, trim_to_k=trim_to_k,
-                strict=strict,
             )
         else:
             results, waits, busys = self._run_threads(
                 X, plan, bounds=bounds, nw=nw, masks=masks, run_t0=run_t0,
                 registry=registry, tracer=tracer,
-                cutoff_method=cutoff_method, trim_to_k=trim_to_k,
-                strict=strict,
             )
 
         wall = monotonic() - run_t0
@@ -430,7 +404,6 @@ class ShardedExecutor:
 
     def _run_threads(
         self, X, plan, *, bounds, nw, masks, run_t0, registry, tracer,
-        cutoff_method, trim_to_k, strict,
     ):
         # One leased workspace per worker: shared immutable gather/taps,
         # private scratch (double-buffered in the sense that a worker's
@@ -484,11 +457,7 @@ class ShardedExecutor:
                 out = run_stack_pipeline(
                     X[lo:hi], plan,
                     workspace=ws,
-                    cutoff_method=cutoff_method,
                     residue_filters=None if masks is None else masks[lo:hi],
-                    trim_to_k=trim_to_k,
-                    strict=strict,
-                    signal_offset=lo,
                     stage=stage,
                 )
             finally:
@@ -513,8 +482,7 @@ class ShardedExecutor:
                 ex.submit(_task, idx, lo, hi, monotonic())
                 for idx, (lo, hi) in enumerate(bounds)
             ]
-            # .result() re-raises the first shard failure (e.g. a strict
-            # RecoveryError naming the global signal index).
+            # .result() re-raises the first shard failure.
             shard_outs = [f.result() for f in futures]
 
         waits = [max(0.0, w) for _, w, _ in shard_outs]
@@ -528,7 +496,6 @@ class ShardedExecutor:
 
     def _run_processes(
         self, X, plan, *, bounds, nw, masks, run_t0, registry, tracer,
-        cutoff_method, trim_to_k, strict,
     ):
         S = X.shape[0]
         k = plan.params.k
@@ -553,24 +520,18 @@ class ShardedExecutor:
             data_arrays: dict[str, np.ndarray] = {"stack": X}
             if masks is not None:
                 data_arrays["masks"] = masks
-            if trim_to_k:
-                # Trimmed results are bounded by k per signal, so shards
-                # write straight into one shared output block.
-                data_arrays["out_locations"] = np.zeros((S, k), np.int64)
-                data_arrays["out_values"] = np.zeros((S, k), np.complex128)
-                data_arrays["out_votes"] = np.zeros((S, k), np.int64)
-                data_arrays["out_counts"] = np.zeros(S, np.int64)
+            # Results are bounded by k per signal, so shards write straight
+            # into one shared output block.
+            data_arrays["out_locations"] = np.zeros((S, k), np.int64)
+            data_arrays["out_values"] = np.zeros((S, k), np.complex128)
+            data_arrays["out_votes"] = np.zeros((S, k), np.int64)
+            data_arrays["out_counts"] = np.zeros(S, np.int64)
             data_bundle = SegmentBundle.create(data_arrays, label="sfft-data")
         except BaseException:
             plan_bundle.close()
             raise
 
         desc = describe_plan(plan, plan_bundle.specs)
-        options = {
-            "cutoff_method": cutoff_method,
-            "trim_to_k": trim_to_k,
-            "strict": strict,
-        }
         registry.gauge("sfft.executor.shm_bytes").set(
             plan_bundle.nbytes + data_bundle.nbytes
         )
@@ -588,7 +549,7 @@ class ShardedExecutor:
                         submits.append(monotonic())
                         futures.append(pool.submit(
                             _process_shard, desc, data_bundle.specs, idx,
-                            lo, hi, options, tracer is not None,
+                            lo, hi, tracer is not None,
                             kill_idx == idx,
                         ))
                 except BrokenProcessPool as exc:
@@ -626,11 +587,10 @@ class ShardedExecutor:
 
             # Copy result rows out of the shared output block *before* the
             # finally unlinks it.
-            if trim_to_k:
-                locs = np.array(data_bundle.view("out_locations"))
-                vals = np.array(data_bundle.view("out_values"))
-                votes = np.array(data_bundle.view("out_votes"))
-                counts = np.array(data_bundle.view("out_counts"))
+            locs = np.array(data_bundle.view("out_locations"))
+            vals = np.array(data_bundle.view("out_values"))
+            votes = np.array(data_bundle.view("out_votes"))
+            counts = np.array(data_bundle.view("out_counts"))
         finally:
             data_bundle.close()
             plan_bundle.close()
@@ -668,19 +628,11 @@ class ShardedExecutor:
                        "parent": "executor.run"},
             )
 
-        results: list[SparseFFTResult] = []
-        if trim_to_k:
-            for s in range(S):
-                c = int(counts[s])
-                results.append(SparseFFTResult(
-                    n=plan.params.n, locations=locs[s, :c],
-                    values=vals[s, :c], votes=votes[s, :c],
-                ))
-        else:
-            for payload in payloads:
-                for loc, val, vote in payload["results"]:
-                    results.append(SparseFFTResult(
-                        n=plan.params.n, locations=loc, values=val,
-                        votes=vote,
-                    ))
+        results = [
+            SparseFFTResult(
+                n=plan.params.n, locations=locs[s, :c], values=vals[s, :c],
+                votes=votes[s, :c],
+            )
+            for s, c in enumerate(counts.tolist())
+        ]
         return results, waits, busys

@@ -23,14 +23,20 @@ name parity, and the device model has no resolution step), and the chosen
 
 from __future__ import annotations
 
+import inspect
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
+
+from ..errors import ParameterError
+from .parameters import derive_parameters
 
 __all__ = [
     "ENV_WISDOM",
     "RESOLUTION_SOURCES",
     "ResolvedConfig",
+    "reject_plan_overrides",
     "resolve_sfft_config",
 ]
 
@@ -38,6 +44,30 @@ ENV_WISDOM = "REPRO_WISDOM"
 
 #: Where a resolved configuration can come from, highest precedence first.
 RESOLUTION_SOURCES = ("explicit", "wisdom", "default")
+
+#: The derivation overrides a plan-less call may pass: every keyword of
+#: :func:`~repro.core.parameters.derive_parameters` (``n``/``k`` are the
+#: call's own).
+_DERIVATION_KEYS = frozenset(
+    inspect.signature(derive_parameters).parameters
+) - {"n", "k"}
+
+
+def _reject_unknown(options: Mapping[str, Any]) -> None:
+    unknown = sorted(set(options) - _DERIVATION_KEYS)
+    if unknown:
+        raise ParameterError(f"unknown options {unknown}")
+
+
+def reject_plan_overrides(options: Mapping[str, Any]) -> None:
+    """The explicit-plan check: a call that passes ``plan=`` takes no
+    derivation overrides, and unknown keys are named as unknown."""
+    _reject_unknown(options)
+    if options:
+        raise ParameterError(
+            f"unexpected options {sorted(options)}: plan derivation "
+            f"overrides do not apply to an explicit plan"
+        )
 
 
 @dataclass(frozen=True)
@@ -109,9 +139,12 @@ def resolve_sfft_config(
     empty); any entry — or an explicit ``comb_width`` — short-circuits the
     whole chain, so passing overrides always behaves exactly as before
     wisdom existed.  ``wisdom_path`` overrides ``$REPRO_WISDOM`` (mostly
-    for tests); an empty string disables the wisdom leg outright.
+    for tests); an empty string disables the wisdom leg outright.  A key
+    that is not a derivation override raises
+    :class:`~repro.errors.ParameterError` before any lookup.
     """
     explicit = dict(explicit or {})
+    _reject_unknown(explicit)
     if explicit or comb_width is not None:
         return ResolvedConfig(
             source="explicit", overrides=explicit, comb_width=comb_width

@@ -16,9 +16,9 @@ shards.  A stack of one bins into the plan workspace's resident ``(L, B)``
 scratch and votes into its resident length-``n`` score array, so a single
 call allocates neither.
 
-:func:`sfft` doubles as the profiling harness behind Figure 2: with
-``profile=True`` each step runs inside a :class:`~repro.obs.Tracer` span,
-which is how the paper identified perm+filter as the dominant cost.
+:func:`sfft` doubles as the profiling harness behind Figure 2: given a
+``tracer=`` each step runs inside a :class:`~repro.obs.Tracer` span, which
+is how the paper identified perm+filter as the dominant cost.
 """
 
 from __future__ import annotations
@@ -29,14 +29,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..analysis.staticcheck.contracts import shape_contract
-from ..errors import ParameterError, RecoveryError
+from ..errors import ParameterError
 from ..obs import MetricsRegistry, Tracer, emit_sfft_metrics, global_registry
 from ..utils.rng import RngLike
 from ..utils.validation import as_complex_signal
 from .comb import comb_approved_residues
 from .cutoff import cutoff_rows
 from .estimation import estimate_values_stack
-from .params import resolve_sfft_config
+from .params import reject_plan_overrides, resolve_sfft_config
 from .plan import SfftPlan
 from .plan_cache import cached_plan
 from .recovery import recover_locations_stack
@@ -63,11 +63,11 @@ class SparseFFTResult:
     votes:
         Location-loop vote count per recovered frequency.
     step_times:
-        Wall-clock seconds per pipeline step when profiling was requested,
+        Wall-clock seconds per pipeline step when the call was traced,
         else ``None``.  A view over ``trace``: each step's spans summed.
         Includes a ``"comb"`` entry when the sFFT-2.0 pre-filter ran.
     trace:
-        The :class:`~repro.obs.Tracer` that clocked the run (profiling
+        The :class:`~repro.obs.Tracer` that clocked the run (traced calls
         only); ``trace.export_chrome_trace()`` renders it for
         ``chrome://tracing`` / Perfetto.
     """
@@ -116,7 +116,6 @@ def comb_masks_for_stack(
     X: np.ndarray,
     plan: SfftPlan,
     comb_width: int,
-    comb_loops: int,
     seed: RngLike,
 ) -> np.ndarray:
     """Per-signal sFFT-2.0 Comb masks, built row by row in stack order.
@@ -126,9 +125,7 @@ def comb_masks_for_stack(
     permutation sequence whether the stack later runs serially or sharded.
     """
     return np.stack([
-        comb_approved_residues(
-            X[s], comb_width, plan.params.k, loops=comb_loops, seed=seed
-        )
+        comb_approved_residues(X[s], comb_width, plan.params.k, seed=seed)
         for s in range(X.shape[0])
     ])
 
@@ -146,11 +143,7 @@ def run_stack_pipeline(
     plan: SfftPlan,
     *,
     workspace=None,
-    cutoff_method: str = "topk",
     residue_filters: np.ndarray | None = None,
-    trim_to_k: bool = True,
-    strict: bool = False,
-    signal_offset: int = 0,
     stage=None,
     metrics: MetricsRegistry | None = None,
 ) -> list[SparseFFTResult]:
@@ -162,13 +155,13 @@ def run_stack_pipeline(
     :func:`comb_masks_for_stack`).  ``workspace`` is the
     :class:`~repro.core.workspace.PlanWorkspace` to execute with — the
     sharded executor passes a per-worker clone; the default is the plan's
-    cached workspace.  ``signal_offset`` shifts signal indices in
-    ``strict`` error messages so shard errors name the global stack row.
-    ``stage`` is an optional ``stage(name, **attrs)`` callable returning a
-    context manager, used to clock each stage (:func:`sfft` opens tracer
-    spans through it, the executor per-shard spans).  ``metrics``
+    cached workspace.  ``stage`` is an optional ``stage(name, **attrs)``
+    callable returning a context manager, used to clock each stage
+    (:func:`sfft` opens tracer spans through it, the executor per-shard
+    spans).  ``metrics``
     receives each signal's ``sfft.*`` metrics
-    (:func:`~repro.obs.emit_sfft_metrics`).
+    (:func:`~repro.obs.emit_sfft_metrics`).  Each result keeps the
+    ``k`` largest recovered coefficients.
     """
     S = X.shape[0]
     params = plan.params
@@ -188,12 +181,12 @@ def run_stack_pipeline(
     with stage("bucket_fft", B=B, batch=S * L):
         rows = ws.bucket_fft(raw).reshape(S, L, B)
 
-    # Step 4: batched cutoff over all (signal, voting-loop) rows at once.
-    with stage("cutoff", method=cutoff_method):
+    # Step 4: batched top-k cutoff over all (signal, voting-loop) rows at
+    # once.
+    with stage("cutoff"):
         flat_sel = cutoff_rows(
             np.abs(rows[:, :v_loops, :]).reshape(S * v_loops, B),
             params.select_count,
-            method=cutoff_method,
         )
         selected = [
             flat_sel[s * v_loops:(s + 1) * v_loops] for s in range(S)
@@ -209,14 +202,6 @@ def run_stack_pipeline(
             scores_out=ws.scores if S == 1 else None,
         )
 
-    if strict:
-        for s in range(S):
-            if hits[s].size < params.k:
-                raise RecoveryError(
-                    f"signal {signal_offset + s}: recovered only "
-                    f"{hits[s].size} of k={params.k} coefficients"
-                )
-
     # Step 6: all signals' estimates in one vectorized pass.
     with stage("estimation", hits=int(sum(h.size for h in hits))):
         values = estimate_values_stack(
@@ -231,12 +216,9 @@ def run_stack_pipeline(
                 selected_sizes=[int(sel.size) for sel in selected[s]],
                 hits=hits[s], votes=votes[s], permutations=perms_v,
             )
-        res = SparseFFTResult(
+        results.append(SparseFFTResult(
             n=params.n, locations=hits[s], values=values[s], votes=votes[s]
-        )
-        if trim_to_k:
-            res = res.top(params.k)
-        results.append(res)
+        ).top(params.k))
     return results
 
 
@@ -246,13 +228,7 @@ def sfft(
     *,
     plan: SfftPlan | None = None,
     seed: RngLike = None,
-    cutoff_method: str = "topk",
     comb_width: int | None = None,
-    comb_loops: int = 3,
-    trim_to_k: bool = True,
-    strict: bool = False,
-    profile: bool = False,
-    verify: bool = False,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     **plan_overrides,
@@ -270,41 +246,30 @@ def sfft(
         A reusable :class:`~repro.core.plan.SfftPlan`; obtained from the
         process-level plan cache (with ``seed`` / ``plan_overrides``) when
         omitted, so repeat convenience calls of one shape pay filter
-        synthesis once — see :mod:`repro.core.plan_cache`.  Passing
-        ``plan_overrides`` alongside a plan raises
-        :class:`~repro.errors.ParameterError`.
-    cutoff_method:
-        ``"topk"`` (baseline sort&select) or ``"threshold"`` (fast
-        k-selection).
+        synthesis once — see :mod:`repro.core.plan_cache`.
     comb_width:
         Enable the sFFT-2.0 Comb pre-filter with ``W = comb_width`` residue
-        classes (a power of two dividing ``n``): ``comb_loops`` cheap
-        aliasing passes screen the spectrum and location recovery only
-        votes for approved residues.  ``None`` (default) disables it.
-    trim_to_k:
-        Keep only the ``k`` largest recovered coefficients (the paper
-        reports exactly ``k``).
-    strict:
-        Raise :class:`~repro.errors.RecoveryError` if fewer than ``k``
-        coefficients survive voting.
-    profile:
-        Record per-step wall-clock times in the result (as spans on a
-        :class:`~repro.obs.Tracer`, surfaced through ``step_times``).
+        classes (a power of two dividing ``n``): cheap aliasing passes
+        screen the spectrum and location recovery only votes for approved
+        residues.  ``None`` (default) disables it.
     tracer:
-        Record spans into this tracer instead of a fresh one (implies
-        profiling); lets a run-scoped trace hold many transforms.
+        Clock each step as a span on this :class:`~repro.obs.Tracer` and
+        surface the per-step seconds as ``step_times``; one tracer can
+        hold many transforms.
     metrics:
         Registry receiving the ``sfft.*`` metrics (bucket occupancy,
-        recovery votes/hits, collisions).  Defaults to
-        :func:`repro.obs.global_registry` when profiling is active.
-    verify:
-        Debugging aid: additionally compute the dense FFT and raise
-        :class:`~repro.errors.RecoveryError` unless the recovered support
-        matches its top-``k`` (costs ``O(n log n)`` — development only).
+        recovery votes/hits, collisions) of a traced call.  Defaults to
+        :func:`repro.obs.global_registry`.
+    plan_overrides:
+        Derivation overrides for a plan-less call (any keyword of
+        :func:`~repro.core.parameters.derive_parameters`, e.g.
+        ``loops=6`` or ``profile="fast"``).  Any other key, or any key
+        alongside ``plan``, raises :class:`~repro.errors.ParameterError`.
 
     Returns
     -------
     SparseFFTResult
+        At most ``k`` coefficients: the largest that survived voting.
     """
     if plan is None:
         if k is None:
@@ -320,19 +285,11 @@ def sfft(
             comb_width = resolved.comb_width
         plan = cached_plan(x.size, k, seed=seed, **resolved.overrides)
     else:
-        if plan_overrides:
-            raise ParameterError(
-                f"unexpected options {sorted(plan_overrides)}: plan "
-                f"derivation overrides do not apply to an explicit plan"
-            )
+        reject_plan_overrides(plan_overrides)
         x = as_complex_signal(x, plan.n)
-    params = plan.params
 
-    profiling = profile or tracer is not None
     stage = _no_stage
-    if profiling:
-        if tracer is None:
-            tracer = Tracer()
+    if tracer is not None:
         span_start = len(tracer.spans)
 
         def stage(name: str, **attrs):
@@ -343,23 +300,18 @@ def sfft(
     X = x[None]
     residue_filters = None
     if comb_width is not None:
-        with stage("comb", W=comb_width, loops=comb_loops):
-            residue_filters = comb_masks_for_stack(
-                X, plan, comb_width, comb_loops, seed
-            )
+        with stage("comb", W=comb_width):
+            residue_filters = comb_masks_for_stack(X, plan, comb_width, seed)
 
     [result] = run_stack_pipeline(
         X, plan,
-        cutoff_method=cutoff_method,
         residue_filters=residue_filters,
-        trim_to_k=trim_to_k,
-        strict=strict,
         stage=stage,
         metrics=(metrics if metrics is not None else global_registry())
-        if profiling else None,
+        if tracer is not None else None,
     )
 
-    if profiling:
+    if tracer is not None:
         # step_times is a view over this call's spans, plus "comb" when
         # the pre-filter ran.
         by_name: dict[str, float] = {}
@@ -370,16 +322,4 @@ def sfft(
         if "comb" in by_name:
             times = {"comb": by_name["comb"], **times}
         result = replace(result, step_times=times, trace=tracer)
-    if verify:
-        # Verification deliberately uses the numpy oracle, not the
-        # configured backend, so verify-mode checks the backend too.
-        dense = np.fft.fft(x)  # reprolint: ignore[fft-registry-bypass]
-        top = np.argpartition(np.abs(dense), -params.k)[-params.k :]
-        want = set(int(f) for f in top)
-        got = set(int(f) for f in result.locations)
-        if got != want:
-            raise RecoveryError(
-                f"verification failed: sparse support {sorted(got)[:8]}... "
-                f"!= dense top-k {sorted(want)[:8]}..."
-            )
     return result

@@ -21,7 +21,7 @@ from ..errors import ParameterError
 from ..utils.rng import RngLike
 from ..utils.validation import as_complex_signal
 from .batch import sfft_batch_fused
-from .params import resolve_sfft_config
+from .params import reject_plan_overrides, resolve_sfft_config
 from .plan import SfftPlan
 from .plan_cache import cached_plan
 from .sfft import SparseFFTResult, sfft
@@ -89,18 +89,15 @@ def rsfft(x, k: int | None = None, **kwargs) -> SparseFFTResult:
     )
 
 
-_EXEC_KEYS = ("cutoff_method", "comb_width", "comb_loops", "trim_to_k",
-              "strict")
-
-
 def sfft_batch(
     signals,
     k: int | None = None,
     *,
     plan: SfftPlan | None = None,
     seed: RngLike = None,
+    comb_width: int | None = None,
     executor=None,
-    **kwargs,
+    **plan_overrides,
 ) -> list[SparseFFTResult]:
     """Transform a batch of equal-length signals under one shared plan.
 
@@ -109,7 +106,11 @@ def sfft_batch(
     process-level cache when not supplied; the stack then runs through the
     fused batch engine (:mod:`repro.core.batch`) — one gather, one
     ``(S*L, B)`` bucket FFT, one vote pass for every signal.  Per-signal
-    results match ``sfft(signals[s], plan=plan)`` exactly.
+    results match ``sfft(signals[s], plan=plan)`` exactly.  ``comb_width``
+    and ``plan_overrides`` mean what they mean for
+    :func:`~repro.core.sfft.sfft`, including the
+    :class:`~repro.errors.ParameterError` for an unknown key or for a
+    derivation override alongside ``plan``.
 
     ``executor`` parallelizes the fused engine across shards of the stack:
     pass a :class:`~repro.core.executor.ShardedExecutor`, or an ``int``
@@ -119,17 +120,10 @@ def sfft_batch(
     explicitly for ``mode="process"``, the shared-memory process pool).
     Sharded results are bit-identical to the serial fused engine in every
     mode.  The bucket FFT runs through the process-default backend
-    (:func:`repro.core.fft_backend.set_default_backend`).
-
-    ``binning`` and ``profile`` raise :class:`~repro.errors.ParameterError`:
-    the pipeline has one binning kernel, and per-step timing belongs to
-    single calls (``sfft(x, profile=True)``) or an executor ``tracer``.
-    So does any plan-derivation override passed alongside ``plan``, as in
-    :func:`~repro.core.sfft.sfft`.
+    (:func:`repro.core.fft_backend.set_default_backend`).  Per-step timing
+    belongs to single calls (``sfft(x, tracer=...)``) or an executor's
+    ``tracer``.
     """
-    for key in ("binning", "profile"):
-        if key in kwargs:
-            raise ParameterError(f"sfft_batch does not take {key}=")
     if isinstance(signals, np.ndarray):
         # Rows of a contiguous stack validate without copying; the fused
         # engine consumes the original array as-is.
@@ -146,9 +140,6 @@ def sfft_batch(
     for r in rows:
         if r.size != n:
             raise ParameterError("all batch signals must share one length")
-    plan_kwargs = {
-        key: val for key, val in kwargs.items() if key not in _EXEC_KEYS
-    }
     if plan is None:
         if k is None:
             raise ParameterError("either k or a plan must be provided")
@@ -157,24 +148,17 @@ def sfft_batch(
         # it — the worker count, never overriding anything the caller
         # pinned.
         resolved = resolve_sfft_config(
-            n, k, batch_size=len(rows), explicit=plan_kwargs,
-            comb_width=kwargs.get("comb_width"),
+            n, k, batch_size=len(rows), explicit=plan_overrides,
+            comb_width=comb_width,
         )
         plan = cached_plan(n, k, seed=seed, **resolved.overrides)
         if resolved.source == "wisdom":
-            if kwargs.get("comb_width") is None \
-                    and resolved.comb_width is not None:
-                kwargs["comb_width"] = resolved.comb_width
+            if comb_width is None:
+                comb_width = resolved.comb_width
             if executor is None and resolved.workers > 1:
                 executor = resolved.workers
-    elif plan_kwargs:
-        raise ParameterError(
-            f"unexpected options {sorted(plan_kwargs)}: plan derivation "
-            f"overrides do not apply to an explicit plan"
-        )
-    exec_kwargs = {
-        key: val for key, val in kwargs.items() if key in _EXEC_KEYS
-    }
+    else:
+        reject_plan_overrides(plan_overrides)
     X = stack if stack is not None else np.stack(rows)
     if executor is not None:
         from .executor import ShardedExecutor
@@ -186,5 +170,5 @@ def sfft_batch(
                 f"executor must be a ShardedExecutor or an int worker "
                 f"count, got {type(executor).__name__}"
             )
-        return executor.run(X, plan, seed=seed, **exec_kwargs)
-    return sfft_batch_fused(X, plan, seed=seed, **exec_kwargs)
+        return executor.run(X, plan, comb_width=comb_width, seed=seed)
+    return sfft_batch_fused(X, plan, comb_width=comb_width, seed=seed)

@@ -1,27 +1,21 @@
-"""Adaptive transform dispatch: dense or sparse, chosen by the cost models.
+"""Modeled dense-vs-sparse recommendation from the cost models.
 
 The paper's Figure 5(a) crossover raises the obvious operational question:
 *given this (n, k), should I run the dense FFT or the sparse one?*  Because
 both sides of the trade have machine models here, the answer is a lookup:
 :func:`recommend_transform` prices cuFFT, cusFFT, FFTW, and PsFFT for the
-shape and returns the modeled winner per platform, and :func:`auto_sfft`
-acts on it — running either the dense ``numpy.fft.fft`` or the sparse
-pipeline, whichever the model says is faster on the CPU path.
+shape and returns the modeled winner per platform.
 
-This is the "promising opportunity to replace the FFT primitives" of the
-paper's contribution list, made concrete: a drop-in entry point that only
-pays the sparse machinery where it wins.
+The verdict is *modeled* — the paper's Kepler K20x and Sandy Bridge
+machines — and serves the GPU figures.  It does not decide how this
+repository's NumPy pipeline runs: on the CPU the model picks dense at
+``n = 2^20`` and ``2^22``, where the sparse transform measures faster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core.dense import dense_topk
-from .core.fft_backend import get_backend
-from .core.sfft import SparseFFTResult, sfft
 from .cpu.cpuspec import SANDY_BRIDGE_E5_2640, CpuSpec
 from .cpu.fftw import FftwPlan
 from .cpu.psfft import PsFFT
@@ -30,10 +24,8 @@ from .cusim.device import KEPLER_K20X, DeviceSpec
 from .errors import ParameterError
 from .gpu.config import OPTIMIZED, CusfftConfig
 from .gpu.cusfft import CusFFT
-from .utils.rng import RngLike
-from .utils.validation import as_complex_signal
 
-__all__ = ["DispatchDecision", "recommend_transform", "auto_sfft"]
+__all__ = ["DispatchDecision", "recommend_transform"]
 
 
 @dataclass(frozen=True)
@@ -97,32 +89,3 @@ def recommend_transform(
         times=times,
     )
 
-
-def auto_sfft(
-    x,
-    k: int,
-    *,
-    cpu: CpuSpec = SANDY_BRIDGE_E5_2640,
-    seed: RngLike = None,
-    **overrides,
-) -> tuple[SparseFFTResult, DispatchDecision]:
-    """Transform ``x`` with whichever CPU-path algorithm the model prefers.
-
-    Returns ``(result, decision)``.  When the dense path wins, the dense
-    FFT runs and its top-``k`` coefficients are packaged in the same
-    :class:`~repro.core.sfft.SparseFFTResult` shape, so callers are
-    agnostic to the route taken.
-    """
-    x = as_complex_signal(x)
-    decision = recommend_transform(x.size, k, cpu=cpu, **overrides)
-    if decision.cpu_winner == "sparse":
-        result = sfft(x, k, seed=seed, **overrides)
-    else:
-        locs, vals = dense_topk(get_backend().fft(x), k)
-        result = SparseFFTResult(
-            n=x.size,
-            locations=locs,
-            values=vals,
-            votes=np.zeros(locs.size, dtype=np.int64),
-        )
-    return result, decision

@@ -57,9 +57,10 @@ class StreamError(DeviceError):
 class RecoveryError(ReproError, RuntimeError):
     """Sparse recovery failed in a way the caller asked us to treat fatally.
 
-    The default sFFT driver degrades gracefully (it returns whatever
-    coefficients survived voting), but strict callers can request an
-    exception when fewer than ``k`` coefficients are recovered.
+    The sFFT driver degrades gracefully (it returns whatever coefficients
+    survived voting); the exactly-sparse transform
+    (:func:`~repro.core.exact.sfft_exact`) raises it in ``strict`` mode
+    when energy stays unresolved.
     """
 
 

@@ -266,9 +266,7 @@ def run_ext_offgrid(
         # One batched call per offset: the trials share the hoisted plan.
         tones = [make_offgrid_tones(n, k, delta, seed=seed + 7 * t)
                  for t in range(trials)]
-        batch = sfft_batch(
-            np.stack([x for x, _ in tones]), plan=plan, trim_to_k=True
-        )
+        batch = sfft_batch(np.stack([x for x, _ in tones]), plan=plan)
         recalls, captured = [], []
         for (x, freqs), res in zip(tones, batch):
             found = res.locations.astype(np.float64)

@@ -53,7 +53,7 @@ class TestCrossImplementationAgreement:
 
 class TestNoisyOfdmScenario:
     """Spectrum sensing under noise with the optimized feature set:
-    threshold cutoff + Comb screen + fast profile."""
+    Comb screen + fast profile."""
 
     def test_detection_pipeline(self):
         scene = make_wideband_channels(
@@ -64,7 +64,6 @@ class TestNoisyOfdmScenario:
             scene.signal.time,
             k,
             seed=22,
-            cutoff_method="threshold",
             comb_width=1 << 10,
             profile="fast",
         )

@@ -1,6 +1,10 @@
 """Feature-matrix test: exact recovery must hold across the cross product of
 user-facing options — windows, profiles, cutoffs, Comb screening, and loop
-splits.  A release-blocking grid."""
+splits.  A release-blocking grid.
+
+The CPU pipeline always selects top-k; the fast k-selection cutoff
+(Algorithm 6) lives in the GPU model, so the ``threshold`` cells run the
+optimized :class:`~repro.gpu.CusFFT`, whose cutoff is that kernel."""
 
 import itertools
 
@@ -8,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import make_plan, sfft
+from repro.gpu import OPTIMIZED, CusFFT
 from repro.signals import make_sparse_signal
 
 N, K = 1 << 13, 8
@@ -27,8 +32,13 @@ def signal():
     list(itertools.product(WINDOWS, PROFILES, CUTOFFS)),
 )
 def test_recovery_across_option_grid(signal, window, profile, cutoff):
-    plan = make_plan(N, K, seed=11, window=window, profile=profile)
-    res = sfft(signal.time, plan=plan, cutoff_method=cutoff)
+    if cutoff == "topk":
+        plan = make_plan(N, K, seed=11, window=window, profile=profile)
+        res = sfft(signal.time, plan=plan)
+    else:
+        gpu = CusFFT.create(N, K, config=OPTIMIZED, window=window,
+                            profile=profile)
+        res = gpu.execute(signal.time, seed=11).result
     assert set(res.locations.tolist()) == set(signal.locations.tolist())
     for f, v in res.as_dict().items():
         truth = signal.values[list(signal.locations).index(f)]

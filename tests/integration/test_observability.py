@@ -25,7 +25,7 @@ def signal():
 
 def test_cpu_and_gpu_emit_same_sfft_metric_names(signal):
     cpu_reg, gpu_reg = MetricsRegistry(), MetricsRegistry()
-    sfft(signal.time, K, seed=1, profile=True, metrics=cpu_reg)
+    sfft(signal.time, K, seed=1, tracer=Tracer(), metrics=cpu_reg)
     CusFFT.create(N, K).execute(signal.time, seed=1, metrics=gpu_reg)
     cpu_names = {n for n in cpu_reg.names() if n.startswith("sfft.")}
     gpu_names = {n for n in gpu_reg.names() if n.startswith("sfft.")}
@@ -38,7 +38,7 @@ def test_cpu_and_gpu_emit_same_sfft_metric_names(signal):
 
 
 def test_step_times_is_view_over_trace(signal):
-    res = sfft(signal.time, K, seed=1, profile=True)
+    res = sfft(signal.time, K, seed=1, tracer=Tracer())
     assert res.trace is not None
     sums = {}
     for sp in res.trace.spans:
@@ -48,7 +48,7 @@ def test_step_times_is_view_over_trace(signal):
 
 
 def test_comb_step_is_timed(signal):
-    res = sfft(signal.time, K, seed=1, profile=True, comb_width=64)
+    res = sfft(signal.time, K, seed=1, tracer=Tracer(), comb_width=64)
     assert "comb" in res.step_times
     assert res.step_times["comb"] > 0
 

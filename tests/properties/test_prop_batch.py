@@ -90,15 +90,3 @@ def test_batch_matches_single_with_comb(logn, k, S, seed):
     # Per-signal Comb masks are data-dependent; the batch path must build
     # and apply them exactly as the single-signal driver does.
     _assert_batch_matches_single(X, plan, comb_width=n >> 4, seed=seed)
-
-
-@given(
-    S=st.integers(min_value=1, max_value=3),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-@settings(max_examples=6, deadline=None)
-def test_batch_matches_single_threshold_cutoff(S, seed):
-    n, k = 2048, 4
-    plan = cached_plan(n, k)
-    X = _stack(n, k, S, seed, snr_db=None)
-    _assert_batch_matches_single(X, plan, cutoff_method="threshold")

@@ -3,8 +3,7 @@
 Bit-identity to the serial fused engine is the headline (the property
 suite covers the full matrix; here one quick case per axis), plus the
 structural pieces: shard geometry, metrics family, per-worker trace
-tracks, strict errors naming global stack rows, and the ``sfft_batch``
-integration surface.
+tracks, and the ``sfft_batch`` integration surface.
 """
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 
 from repro.core import ShardedExecutor, sfft_batch, sfft_batch_fused
 from repro.core.executor import EXECUTOR_TRACK
-from repro.errors import ParameterError, RecoveryError
+from repro.errors import ParameterError
 from repro.obs import MetricsRegistry, Tracer
 from repro.signals import make_sparse_signal
 from tests.conftest import cached_plan
@@ -177,18 +176,6 @@ def test_span_dag_attrs_and_root(stack, plan):
         shard = sp.name.split(".", 1)[0]
         assert sp.attrs["parent"] == shard
         assert sp.attrs["shard"] == int(shard[len("shard"):])
-
-
-def test_strict_error_names_global_signal_index(rng):
-    # Pure noise defeats k-sparse voting; with shards of 2, the failure
-    # sits in the second shard and must name the global row index 2.
-    n = 1024
-    small = cached_plan(n, _K)
-    X = np.stack([
-        make_sparse_signal(n, _K, seed=60 + t).time for t in range(2)
-    ] + [rng.standard_normal(n) * 1e-12])
-    with pytest.raises(RecoveryError, match="signal 2"):
-        ShardedExecutor(workers=2, shard_size=2).run(X, small, strict=True)
 
 
 def test_sfft_batch_executor_int_shorthand(stack, plan):

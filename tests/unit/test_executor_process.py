@@ -1,8 +1,8 @@
 """Process-mode executor: crash semantics, teardown, start-method identity.
 
-Thread-mode behavior (metrics family, span DAG, strict errors, shard
-geometry) is pinned by ``test_executor.py``; the property matrix covers
-bit-identity in both modes.  This module covers what is *specific* to
+Thread-mode behavior (metrics family, span DAG, shard geometry) is
+pinned by ``test_executor.py``; the property matrix covers bit-identity
+in both modes.  This module covers what is *specific* to
 the shared-memory process pool: a SIGKILL'd worker must surface as a
 clean :class:`~repro.errors.ExecutorError` with every segment unlinked
 and the failure metered; the pool must recover on the next run; seeded
@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import ShardedExecutor, sfft_batch_fused
 from repro.core.executor import EXECUTOR_TRACK, MODE_ENV
-from repro.errors import ExecutorError, ParameterError, RecoveryError
+from repro.errors import ExecutorError, ParameterError
 from repro.obs import MetricsRegistry, Tracer
 from repro.signals import make_sparse_signal
 from tests.conftest import cached_plan
@@ -116,29 +116,6 @@ class TestProcessTelemetry:
         assert snap["sfft.executor.workers"]["value"] == 2
         assert snap["sfft.executor.shards"]["value"] == 4
         assert snap["sfft.executor.shm_bytes"]["value"] > 0
-
-    def test_untrimmed_results_cross_the_boundary(self, stack, plan):
-        # trim_to_k=False has no per-signal size bound, so results come
-        # back pickled instead of through the shared output block.
-        ex = ShardedExecutor(workers=2, shard_size=3, mode="process")
-        _assert_identical(
-            ex.run(stack, plan, trim_to_k=False),
-            sfft_batch_fused(stack, plan, trim_to_k=False),
-        )
-
-    def test_strict_error_names_global_signal_index(self):
-        # Same construction as the thread-mode test: pure noise defeats
-        # k-sparse voting, and the failing row sits in the second shard.
-        n = 1024
-        small = cached_plan(n, _K)
-        rng = np.random.default_rng(99)
-        X = np.stack([
-            make_sparse_signal(n, _K, seed=80 + t).time for t in range(2)
-        ] + [rng.standard_normal(n) * 1e-12])
-        ex = ShardedExecutor(workers=2, shard_size=2, mode="process")
-        with pytest.raises(RecoveryError, match="signal 2"):
-            ex.run(X, small, strict=True)
-
 
 class TestWorkerCrash:
     def test_killed_worker_is_a_clean_error(self, stack, plan, monkeypatch):

@@ -12,6 +12,7 @@ from repro.cpu import CPU_DEVICES, SANDY_BRIDGE_E5_2640, XEON_PHI_5110P, PsFFT
 from repro.cusim import GPU_DEVICES, KEPLER_K20X, KEPLER_K40, MAXWELL_M40
 from repro.errors import ParameterError
 from repro.gpu import CusFFT, OPTIMIZED
+from repro.obs import Tracer
 from repro.signals import make_sparse_signal
 from repro.tuning import candidate_bucket_counts, tune_parameters
 
@@ -111,7 +112,7 @@ class TestInverseTransform:
 
     def test_isfft_keeps_profiling_trace(self):
         x = make_sparse_signal(1 << 12, 6, seed=0).time
-        res = isfft(x, 6, seed=1, profile=True)
+        res = isfft(x, 6, seed=1, tracer=Tracer())
         assert res.trace is not None
         assert {sp.name for sp in res.trace.spans} >= set(res.step_times)
 
@@ -143,7 +144,7 @@ class TestRealTransform:
 
     def test_keeps_profiling_trace(self):
         x = np.cos(2 * np.pi * 17 * np.arange(1 << 10) / (1 << 10))
-        res = rsfft(x, 2, seed=7, profile=True)
+        res = rsfft(x, 2, seed=7, tracer=Tracer())
         assert res.trace is not None
         assert {sp.name for sp in res.trace.spans} >= set(res.step_times)
 
@@ -285,41 +286,17 @@ class TestDispatch:
         with pytest.raises(ParameterError):
             recommend_transform(1 << 16, 0)
 
-    def test_auto_sfft_dense_route_correct(self):
-        from repro.dispatch import auto_sfft
-
-        sig = make_sparse_signal(1 << 12, 4, seed=70)
-        result, decision = auto_sfft(sig.time, 4, seed=71)
-        # Either route must return the true support.
-        assert set(result.locations.tolist()) == set(sig.locations.tolist())
-        assert decision.cpu_winner in ("dense", "sparse")
-
-    def test_auto_sfft_sparse_route_correct(self):
-        from repro.dispatch import auto_sfft
-
-        # Large-ish n with small k: the sparse route wins on the CPU model.
-        sig = make_sparse_signal(1 << 18, 16, seed=72)
-        result, decision = auto_sfft(
-            sig.time, 16, seed=73, profile="fast", loops=6,
-        )
-        assert set(result.locations.tolist()) == set(sig.locations.tolist())
-
 
 class TestDispatchDenseRoute:
     def test_dense_route_taken_and_correct(self):
         # Small n with relatively large k: every model prefers the dense
-        # transform, and the dense route must still return exact top-k.
-        from repro.dispatch import auto_sfft, recommend_transform
+        # transform.
+        from repro.dispatch import recommend_transform
 
         n, k = 1 << 12, 256
         decision = recommend_transform(n, k, profile="fast")
         assert decision.cpu_winner == "dense"
-
-        sig = make_sparse_signal(n, k, seed=90)
-        result, d2 = auto_sfft(sig.time, k, seed=91, profile="fast")
-        assert d2.cpu_winner == "dense"
-        assert set(result.locations.tolist()) == set(sig.locations.tolist())
-        assert (result.votes == 0).all()  # dense route carries no votes
+        assert decision.gpu_winner == "dense"
 
     def test_advantage_properties(self):
         from repro.dispatch import recommend_transform

@@ -3,9 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.core import STEP_NAMES, SparseFFTResult, dense_fft, dense_topk, sfft
+from repro.core import (
+    STEP_NAMES,
+    SparseFFTResult,
+    cached_plan,
+    dense_fft,
+    dense_topk,
+    global_plan_cache,
+    make_plan,
+    sfft,
+    sfft_batch,
+)
 from repro.core.dense import reconstruct_time
-from repro.errors import ParameterError, RecoveryError
+from repro.errors import ParameterError
+from repro.obs import Tracer
 from repro.signals import add_awgn, make_sparse_signal
 
 
@@ -47,10 +58,6 @@ class TestSfftExactRecovery:
         res = sfft(noisy, 16, seed=9)
         assert set(res.locations.tolist()) == set(sig.locations.tolist())
 
-    def test_threshold_cutoff_recovers(self, plan_medium, signal_medium):
-        res = sfft(signal_medium.time, plan=plan_medium, cutoff_method="threshold")
-        assert set(res.locations.tolist()) == set(signal_medium.locations.tolist())
-
 
 class TestSfftDriverOptions:
     def test_plan_reuse_deterministic(self, plan_small, signal_small):
@@ -60,7 +67,7 @@ class TestSfftDriverOptions:
         assert np.array_equal(a.values, b.values)
 
     def test_profile_records_all_steps(self, plan_small, signal_small):
-        res = sfft(signal_small.time, plan=plan_small, profile=True)
+        res = sfft(signal_small.time, plan=plan_small, tracer=Tracer())
         assert set(res.step_times) == set(STEP_NAMES)
         assert all(t >= 0 for t in res.step_times.values())
 
@@ -79,12 +86,10 @@ class TestSfftDriverOptions:
         # One call folds into the workspace's resident (L, B) matrix and
         # votes into its resident length-n scores; allocating either per
         # call would cost the large transforms their memory bound.
-        from repro.core import make_plan
-
         sig = make_sparse_signal(4096, 8, seed=30)
         plan = make_plan(4096, 8, seed=31)
         ws = plan.workspace()
-        res = sfft(sig.time, plan=plan, trim_to_k=False)
+        res = sfft(sig.time, plan=plan)
         np.testing.assert_array_equal(ws.scores[res.locations], res.votes)
         assert np.count_nonzero(ws.scores) >= res.k_found
         np.testing.assert_array_equal(
@@ -95,29 +100,52 @@ class TestSfftDriverOptions:
         with pytest.raises(ParameterError):
             sfft(np.zeros(512, complex), plan=plan_small)
 
-    def test_strict_raises_on_under_recovery(self):
-        # Deterministic under-recovery: with select_count=1 the cutoff keeps
-        # only the dominant coefficient's bucket every loop, so the other
-        # three coefficients can never gather votes and strict mode trips.
-        from repro.core import make_plan
-
-        n = 1024
-        vals = n * np.array([1.0, 0.5, 0.25, 0.125], dtype=complex)
-        sig = make_sparse_signal(
-            n, 4, locations=np.array([100, 300, 500, 700]), values=vals
-        )
-        plan = make_plan(n, 4, seed=0, select_count=1)
-        with pytest.raises(RecoveryError):
-            sfft(sig.time, plan=plan, strict=True)
-
     def test_trim_to_k(self, plan_small, signal_small):
-        res = sfft(signal_small.time, plan=plan_small, trim_to_k=True)
+        res = sfft(signal_small.time, plan=plan_small)
         assert res.k_found <= plan_small.k
 
-    def test_untrimmed_can_exceed_k(self, plan_small):
-        sig = make_sparse_signal(1024, 4, seed=20)
-        res = sfft(sig.time, plan=plan_small, trim_to_k=False)
-        assert res.k_found >= 4
+    def test_non_sparse_input_degrades_gracefully(self):
+        rng = np.random.default_rng(64)
+        res = sfft(rng.standard_normal(1 << 12), 6, seed=65)
+        assert res.k_found >= 0  # degrades gracefully, no exception
+
+    def test_fast_profile_is_a_derivation_override(self):
+        # profile= names the filter-design profile only: a plan-less call
+        # derives (and caches) the fast plan and does not turn on tracing.
+        sig = make_sparse_signal(4096, 8, seed=32)
+        res = sfft(sig.time, 8, seed=33, profile="fast")
+        assert res.step_times is None and res.trace is None
+        cache = global_plan_cache()
+        hits = cache.hits
+        plan = cached_plan(4096, 8, seed=33, profile="fast")
+        assert cache.hits == hits + 1
+        assert plan.params.tolerance == 1e-6
+        again = sfft(sig.time, plan=plan)
+        np.testing.assert_array_equal(res.locations, again.locations)
+        np.testing.assert_array_equal(res.values, again.values)
+
+    @pytest.mark.parametrize("key,value", [("no_such", 1), ("strict", True)])
+    @pytest.mark.parametrize("with_plan", [False, True],
+                             ids=["planless", "plan"])
+    @pytest.mark.parametrize("entry", [sfft, sfft_batch],
+                             ids=["sfft", "sfft_batch"])
+    def test_unknown_option_is_a_parameter_error(self, entry, with_plan,
+                                                 key, value):
+        # Any key that is not a derivation override (``strict`` among
+        # them) is named as unknown on both paths, before any plan-cache
+        # traffic.
+        sig = make_sparse_signal(1024, 4, seed=34)
+        x = sig.time if entry is sfft else np.stack([sig.time, sig.time])
+        plan = make_plan(1024, 4, seed=35) if with_plan else None
+        cache = global_plan_cache()
+        traffic = (cache.hits, cache.misses)
+        with pytest.raises(ParameterError,
+                           match=rf"unknown options \['{key}'\]"):
+            if with_plan:
+                entry(x, plan=plan, **{key: value})
+            else:
+                entry(x, 4, seed=36, **{key: value})
+        assert (cache.hits, cache.misses) == traffic
 
 
 class TestSparseFFTResult:
@@ -165,21 +193,3 @@ class TestSparseFFTResult:
             dense_topk(np.zeros(8), 0)
         with pytest.raises(ParameterError):
             dense_topk(np.zeros((2, 4)), 1)
-
-
-class TestVerifyMode:
-    def test_verify_passes_on_sparse_input(self):
-        sig = make_sparse_signal(1 << 12, 6, seed=60)
-        res = sfft(sig.time, 6, seed=61, verify=True)
-        assert res.k_found == 6
-
-    def test_verify_raises_on_non_sparse_input(self):
-        rng = np.random.default_rng(62)
-        dense_noise = rng.standard_normal(1 << 12)
-        with pytest.raises(RecoveryError, match="verification failed"):
-            sfft(dense_noise, 6, seed=63, verify=True)
-
-    def test_verify_off_by_default(self):
-        rng = np.random.default_rng(64)
-        res = sfft(rng.standard_normal(1 << 12), 6, seed=65)
-        assert res.k_found >= 0  # degrades gracefully, no exception

@@ -238,14 +238,6 @@ class TestBatchEngine:
             signal_small.locations.tolist()
         )
 
-    def test_strict_raises_per_signal(self, plan_small, rng):
-        from repro.errors import RecoveryError
-
-        # Pure noise: voting cannot reach k coefficients consistently.
-        X = np.stack([rng.standard_normal(1024) * 1e-12 for _ in range(2)])
-        with pytest.raises(RecoveryError):
-            sfft_batch_fused(X, plan_small, strict=True)
-
     def test_rejects_bad_stack_shapes(self, plan_small):
         with pytest.raises(ParameterError):
             sfft_batch_fused(
