@@ -102,8 +102,8 @@ def cutoff(
     threshold_factor: float = 4.0,
     cap_factor: int = 4,
 ) -> np.ndarray:
-    """Single-row cutoff: the GPU model's sort&select and fast-select
-    kernels call it (:mod:`repro.gpu.kernels.select`).
+    """Single-row cutoff; the GPU model's fast-select kernel calls it with
+    ``method="threshold"`` (:mod:`repro.gpu.kernels.select`).
 
     ``method="topk"`` is the exact baseline; ``method="threshold"`` the fast
     single-pass variant with a ``cap_factor * m`` survivor cap and a top-k

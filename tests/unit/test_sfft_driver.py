@@ -123,6 +123,11 @@ class TestSfftDriverOptions:
         again = sfft(sig.time, plan=plan)
         np.testing.assert_array_equal(res.locations, again.locations)
         np.testing.assert_array_equal(res.values, again.values)
+        X = np.stack([sig.time, sig.time])
+        for got, want in zip(sfft_batch(X, 8, seed=33, profile="fast"),
+                             sfft_batch(X, plan=plan)):
+            np.testing.assert_array_equal(got.locations, want.locations)
+            np.testing.assert_array_equal(got.values, want.values)
 
     @pytest.mark.parametrize("key,value", [("no_such", 1), ("strict", True)])
     @pytest.mark.parametrize("with_plan", [False, True],
