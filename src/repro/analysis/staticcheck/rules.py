@@ -23,11 +23,10 @@ by path relative to the ``repro`` package root (posix separators):
   :class:`~repro.errors.ParameterError` (or another
   :class:`~repro.errors.ReproError`), never bare ``ValueError``, so
   callers can catch one hierarchy.
-* ``telemetry-thread-safety`` — the registry's instrument table and
-  subscriber lists, and the flight recorder's ring deque, are guarded by
-  locks inside ``obs/``; code elsewhere must go through the public
-  subscription API (``subscribe()`` / ``record_*`` / the instruments),
-  never touch ``_instruments`` / ``_subscribers`` / ``_ring`` directly.
+* ``telemetry-thread-safety`` — the registry's instrument table is
+  guarded by a lock inside ``obs/``; code elsewhere must go through the
+  public registry API (``counter()`` / ``gauge()`` / ``histogram()`` /
+  ``names()`` / ``snapshot()``), never touch ``_instruments`` directly.
 * ``span-orphan`` — synthetic spans recorded outside ``obs/`` must say
   which timeline they belong to: an ``add_span(...)`` call without an
   explicit ``track=`` lands on the default CPU track, where the
@@ -118,12 +117,10 @@ RULES: dict[str, Rule] = {r.id: r for r in (
     ),
     Rule(
         "telemetry-thread-safety", "error",
-        "direct access to registry/ring-buffer internals outside obs/",
-        "MetricsRegistry._instruments, the _subscribers lists, and "
-        "FlightRecorder._ring are mutated under locks owned by obs/; "
-        "outside code must use the public subscription API (subscribe, "
-        "record_span/record_metric, the instruments) or updates race "
-        "and the re-entrancy guard is bypassed.",
+        "direct access to registry internals outside obs/",
+        "MetricsRegistry._instruments is mutated under a lock owned by "
+        "obs/; outside code must use the public registry API (counter, "
+        "gauge, histogram, names, snapshot) or updates race.",
     ),
     Rule(
         "span-orphan", "error",
@@ -187,8 +184,8 @@ _FROZEN_WORKSPACE_ATTRS = frozenset({
 _MUTATING_METHODS = frozenset({"fill", "sort", "put", "partition", "resize"})
 _CLOCK_FUNCS = frozenset({"time", "perf_counter", "monotonic",
                           "process_time", "thread_time"})
-#: Lock-guarded telemetry internals (see obs/metrics.py, obs/live.py).
-_TELEMETRY_INTERNALS = frozenset({"_instruments", "_subscribers", "_ring"})
+#: Lock-guarded telemetry internals (MetricsRegistry, see obs/metrics.py).
+_TELEMETRY_INTERNALS = frozenset({"_instruments"})
 #: The one module allowed to construct SharedMemory (see core/shm.py).
 _SHM_OWNER = "core/shm.py"
 #: Callables that consume raw B=/loops= keywords (plan/param construction).
@@ -515,8 +512,8 @@ class _Visitor(ast.NodeVisitor):
             self._emit(
                 "telemetry-thread-safety", node,
                 f"direct .{node.attr} access outside obs/ — use the "
-                f"public subscription API (subscribe / record_* / the "
-                f"instruments); the internals are lock-guarded",
+                f"public registry API (counter / gauge / histogram / "
+                f"snapshot); the internals are lock-guarded",
             )
         self.generic_visit(node)
 

@@ -143,9 +143,8 @@ class PlanCache:
         """Refresh the derived gauges after any traffic or residency change.
 
         Gauges land on the global registry (like the hit/miss counters),
-        outside :attr:`_lock` — counter/gauge updates fan out to registry
-        subscribers (flight recorders), and those callbacks must never run
-        under a cache-internal lock.
+        outside :attr:`_lock`, so the cache lock is never held while the
+        registry lock is taken.
         """
         from ..obs import global_registry
 

@@ -16,6 +16,11 @@ The fix is a deterministic predicate, :func:`repro.core.median_reliable`
 (strict majority of clean loops), which the property test now uses to
 decide per-frequency whether the design tolerance or the documented
 loose bound applies.
+
+Three later draws of the same property test miss even the loose bound:
+the support is exact, but one coefficient the median cannot trust lands
+beyond 0.35 relative error.  They are pinned below as strict xfails, so
+the estimator fix that cleans colliding loops must also drop the markers.
 """
 
 import numpy as np
@@ -63,6 +68,45 @@ def test_regression_2048_5_1290_reliability_split(case):
             # Degraded but bounded: the median still sits between loop
             # estimates, at least one of which is clean per component.
             assert err < 0.35
+
+
+def _assert_property_holds(n, k, seed):
+    """The exact-recovery property test's check, at one fixed draw."""
+    sig = make_sparse_signal(n, k, seed=seed, min_separation=n // (4 * k))
+    plan = make_plan(n, k, seed=seed ^ 0xABCDEF)
+    res = sfft(sig.time, plan=plan)
+    assert set(res.locations.tolist()) == set(sig.locations.tolist())
+    reliable = dict(zip(
+        sig.locations.tolist(),
+        median_reliable(sig.locations, plan.permutations, n, plan.B),
+    ))
+    truth = dict(zip(sig.locations.tolist(), sig.values))
+    for f, v in res.as_dict().items():
+        tol = 1e-4 if (reliable[f] and not plan.filter_capped) else 0.35
+        assert abs(v - truth[f]) < tol * abs(truth[f]), f
+
+
+_LOOSE_BOUND_MISS = pytest.mark.xfail(
+    strict=True,
+    reason="an unreliable median misses the 0.35 bound; fixed by "
+           "subtracting recovered coefficients before re-estimating "
+           "(ROADMAP open item 2)",
+)
+
+
+@_LOOSE_BOUND_MISS
+def test_regression_1024_6_506_loose_bound():
+    _assert_property_holds(1024, 6, 506)  # f=621 off by 0.353
+
+
+@_LOOSE_BOUND_MISS
+def test_regression_1024_7_170_loose_bound():
+    _assert_property_holds(1024, 7, 170)  # f=953 off by 0.390
+
+
+@_LOOSE_BOUND_MISS
+def test_regression_1024_7_27774_loose_bound():
+    _assert_property_holds(1024, 7, 27774)  # f=701 off by 0.538
 
 
 def test_clean_counts_isolated_support_is_fully_clean():
