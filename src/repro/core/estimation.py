@@ -12,7 +12,10 @@ For a recovered frequency ``f`` and loop ``r`` with permutation
 
 so each loop yields the unbiased estimate
 
-    ``est_r = n * Z_r[m] / G_hat[(-o) mod n] * exp(-2j*pi*tau_r*f/n)``.
+    ``est_r = n * Z_r[m] / G_hat[-o] * exp(-2j*pi*tau_r*f/n)``,
+
+with ``G_hat[-o]`` read from the filter's stored response window
+(``filt.response[filt.reach - o]``; ``|o| <= n/(2B) <= reach``).
 
 The final value is the coordinate-wise median (real and imaginary parts
 separately — exactly the paper's step 6) over the ``L`` loops, which rejects
@@ -66,7 +69,7 @@ def _estimates(
     dist = p - ((p + n_div_b // 2) // n_div_b) * n_div_b  # signed offset o
 
     z = flat_rows[first_row[:, None] + np.arange(L)[None, :], hashed]
-    g = filt.freq[(-dist) % n]
+    g = filt.response[filt.reach - dist]
     phase = np.exp(
         -2j * np.pi * taus[None, :] * freqs[:, None].astype(np.float64) / n
     )
@@ -75,8 +78,8 @@ def _estimates(
 
 @shape_contract("frequencies:(F,), bucket_rows:(L, B):complex128 -> (F, L)",
                 dtype="complex128",
-                bind={"B": "B", "n": "filt.n"},
-                attrs={"filt.freq": "(n,):complex128"})
+                bind={"B": "B"},
+                attrs={"filt.response": "(_,):complex128"})
 def loop_estimates(
     frequencies: np.ndarray,
     bucket_rows: np.ndarray,
@@ -196,8 +199,8 @@ def estimate_values(
 
 @shape_contract("hits_per_signal:*, bucket_rows_stack:(S, L, B):complex128"
                 " -> *",
-                bind={"S": "len(hits_per_signal)", "B": "B", "n": "filt.n"},
-                attrs={"filt.freq": "(n,):complex128"})
+                bind={"S": "len(hits_per_signal)", "B": "B"},
+                attrs={"filt.response": "(_,):complex128"})
 def estimate_values_stack(
     hits_per_signal: list[np.ndarray],
     bucket_rows_stack: np.ndarray,

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ParameterError, RecoveryError
+from ..filters.base import FlatFilter
 from ..filters.flat_window import make_flat_window
 from ..utils.modmath import next_power_of_two
 from ..utils.rng import RngLike, ensure_rng
@@ -67,7 +68,7 @@ def _subtract_found(
     v: np.ndarray,
     found: dict[int, complex],
     perm: Permutation,
-    freq: np.ndarray,
+    filt: FlatFilter,
     n: int,
     B: int,
 ) -> None:
@@ -84,9 +85,10 @@ def _subtract_found(
     shift_phase = np.exp(2j * np.pi * p / n)
     # A coefficient registers in its own bucket and — through the filter's
     # transition region — in the immediate neighbours; subtract all three
-    # (the response two buckets out is at the design tolerance).
+    # (the response two buckets out is at the design tolerance).  The
+    # offsets stay within 1.5 n/B, inside the stored response window.
     for db in (-1, 0, 1):
-        g = freq[(-(dist - db * n_div_b)) % n]
+        g = filt.response[filt.reach - dist + db * n_div_b]
         contrib = vals * phase_tau * g / n
         np.subtract.at(u, (hashed + db) % B, contrib)
         np.subtract.at(v, (hashed + db) % B, contrib * shift_phase)
@@ -155,7 +157,7 @@ def sfft_exact(
         stats.rounds += 1
         stats.samples_touched += 2 * filt.width
 
-        _subtract_found(u, v, found, perm, filt.freq, n, B)
+        _subtract_found(u, v, found, perm, filt, n, B)
 
         mags = np.abs(u)
         floor = rel_tol * max(scale_ref / n, float(mags.max()) if mags.size else 1.0)
@@ -174,7 +176,7 @@ def sfft_exact(
                 stats.collisions_seen += 1
                 continue
             dist = p - ((p + n_div_b // 2) // n_div_b) * n_div_b
-            g = filt.freq[(-dist) % n]
+            g = filt.response[filt.reach - dist]
             if abs(g) < 0.1:   # outside the reliable passband
                 stats.collisions_seen += 1
                 continue
@@ -203,7 +205,7 @@ def sfft_exact(
         perm = random_permutation(n, rng)
         u = bucket_fft(bin_vectorized(x, filt, B, perm))
         v = u.copy()
-        _subtract_found(u, v, found, perm, filt.freq, n, B)
+        _subtract_found(u, v, found, perm, filt, n, B)
         if np.abs(u).max() > 100 * rel_tol * scale_ref / n:
             raise RecoveryError(
                 f"exact recovery incomplete after {stats.rounds} rounds "
@@ -226,7 +228,7 @@ def sfft_exact(
             for r, perm in enumerate(polish_perms):
                 rows[r] = bucket_fft(bin_vectorized(x, filt, B, perm))
                 dummy = rows[r].copy()
-                _subtract_found(rows[r], dummy, found, perm, filt.freq, n, B)
+                _subtract_found(rows[r], dummy, found, perm, filt, n, B)
             stats.samples_touched += len(polish_perms) * filt.width
             delta = estimate_values(locs, rows, polish_perms, filt, B)
             for f, dv in zip(locs, delta):

@@ -2,10 +2,14 @@
 
 Like FFTW/cuFFT, sFFT separates *planning* (design the flat-window filter,
 derive bucket/loop counts, draw the per-loop permutations) from *execution*
-(the six steps on actual data).  Filter synthesis costs ``O(n log n)`` once;
-execution is sub-linear, so reusing a plan across many transforms of the
-same ``(n, k)`` shape is where the asymptotic win lives.  The paper times
-executions against cuFFT/FFTW execution the same way.
+(the six steps on actual data).  Filter synthesis is sub-linear too: it
+designs the ``w`` taps and computes their response over the ``±2n/B``
+offsets estimation reads by a chirp-z transform, in
+``O((w + n/B) log(w + n/B))`` with no length-``n`` FFT or array (tiny
+``n``, where that convolution is not shorter than ``n/4``, take the plain
+length-``n`` FFT instead).  Reusing a plan across many transforms of the
+same ``(n, k)`` shape still saves that work and the per-loop permutations;
+the paper times executions against cuFFT/FFTW execution the same way.
 """
 
 from __future__ import annotations
@@ -155,21 +159,23 @@ def make_plan(
 def save_plan(plan: SfftPlan, path) -> None:
     """Persist a plan to ``path`` (NumPy ``.npz``).
 
-    Plans are the expensive artifact (filter synthesis runs an O(n log n)
-    FFT); long-running services save them once and reload per process,
-    exactly like FFTW wisdom.
+    Schema 2 stores the filter taps and their response window
+    (``filter_response``, ``4n/B + 1`` entries); a saved plan reloads
+    the exact filter and permutation schedule, exactly like FFTW wisdom.
+    :func:`load_plan` also reads schema-1 files, whose length-``n``
+    ``filter_freq`` it slices down to the window.
     """
     import numpy as np
 
     p = plan.params
     np.savez_compressed(
         path,
-        schema=np.array([1]),
+        schema=np.array([2]),
         n=p.n, k=p.k, B=p.B, loops=p.loops,
         vote_threshold=p.vote_threshold, select_count=p.select_count,
         window=np.array(p.window), tolerance=p.tolerance, lobefrac=p.lobefrac,
         loc_loops=np.array([-1 if p.loc_loops is None else p.loc_loops]),
-        filter_time=plan.filt.time, filter_freq=plan.filt.freq,
+        filter_time=plan.filt.time, filter_response=plan.filt.response,
         filter_box_width=plan.filt.box_width,
         sigmas=np.array([q.sigma for q in plan.permutations], dtype=np.int64),
         taus=np.array([q.tau for q in plan.permutations], dtype=np.int64),
@@ -177,16 +183,18 @@ def save_plan(plan: SfftPlan, path) -> None:
 
 
 def load_plan(path) -> SfftPlan:
-    """Reload a plan written by :func:`save_plan`."""
+    """Reload a plan written by :func:`save_plan` (schema 1 or 2)."""
     import numpy as np
 
     from ..errors import ParameterError
     from ..filters.base import FlatFilter
+    from ..filters.flat_window import response_reach
     from ..utils.modmath import mod_inverse
     from .parameters import SfftParameters
 
     with np.load(path, allow_pickle=False) as data:
-        if int(data["schema"][0]) != 1:
+        schema = int(data["schema"][0])
+        if schema not in (1, 2):
             raise ParameterError(f"unsupported plan schema in {path!r}")
         params = SfftParameters(
             n=int(data["n"]), k=int(data["k"]), B=int(data["B"]),
@@ -202,10 +210,18 @@ def load_plan(path) -> SfftPlan:
                 else int(data["loc_loops"][0])
             ),
         )
+        if schema == 1:
+            # The length-n response; keep the window the plan reads.
+            freq = data["filter_freq"]
+            reach = response_reach(params.n, params.B)
+            response = np.concatenate([freq[params.n - reach:],
+                                       freq[: reach + 1]])
+        else:
+            response = np.array(data["filter_response"])
         filt = FlatFilter(
             n=params.n,
             time=np.array(data["filter_time"]),
-            freq=np.array(data["filter_freq"]),
+            response=response,
             window_name=params.window,
             lobefrac=params.lobefrac,
             tolerance=params.tolerance,

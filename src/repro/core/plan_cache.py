@@ -191,7 +191,7 @@ class PlanCache:
     def plan_nbytes(plan: SfftPlan) -> int:
         """Accountable bytes of one resident plan.
 
-        Filter arrays (time + frequency taps) plus the plan's cached
+        Filter arrays (time taps + response window) plus the plan's cached
         workspace when one has been built — via
         :meth:`~repro.core.workspace.PlanWorkspace.memory_breakdown`,
         which already excludes no-copy views of the filter, so nothing is
@@ -199,7 +199,7 @@ class PlanCache:
         each; they are deliberately left out so the sum stays exactly
         reproducible from array shapes.
         """
-        total = int(plan.filt.time.nbytes) + int(plan.filt.freq.nbytes)
+        total = int(plan.filt.time.nbytes) + int(plan.filt.response.nbytes)
         ws = plan._workspace
         if ws is not None:
             total += int(ws.memory_breakdown()["total_bytes"])
@@ -226,7 +226,7 @@ class PlanCache:
                 "n": plan.n,
                 "k": plan.k,
                 "filter_bytes": int(plan.filt.time.nbytes)
-                + int(plan.filt.freq.nbytes),
+                + int(plan.filt.response.nbytes),
                 "gather_bytes": 0,
                 "tap_bytes": 0,
                 "scratch_bytes": 0,

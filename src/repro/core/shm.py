@@ -334,7 +334,7 @@ class PlanDescriptor:
     (``sigma_inv`` is re-derived via ``mod_inverse``, the
     :func:`~repro.core.plan.load_plan` idiom); ``filter_meta`` is
     ``(window_name, lobefrac, tolerance, box_width)``.  ``arrays`` maps
-    ``filter_time`` / ``filter_freq`` / ``taps_flat`` (may alias
+    ``filter_time`` / ``filter_response`` / ``taps_flat`` (may alias
     ``filter_time`` byte-for-byte when the padded width equals the tap
     count) / optionally ``gather`` (absent above the workspace's gather
     cap — workers then regenerate rows on the fly, same as the thread
@@ -378,7 +378,7 @@ def plan_shared_arrays(plan, workspace) -> dict[str, np.ndarray]:
     """
     arrays: dict[str, np.ndarray] = {
         "filter_time": plan.filt.time,
-        "filter_freq": plan.filt.freq,
+        "filter_response": plan.filt.response,
     }
     taps = workspace.taps_flat
     if taps is not plan.filt.time:
@@ -457,7 +457,7 @@ def _materialize_plan(desc: PlanDescriptor, view):
     filt = FlatFilter(
         n=n,
         time=view("filter_time"),
-        freq=view("filter_freq"),
+        response=view("filter_response"),
         window_name=window_name,
         lobefrac=f_lobefrac,
         tolerance=f_tolerance,

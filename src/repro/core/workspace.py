@@ -156,9 +156,10 @@ class PlanWorkspace:
         nothing.
         """
         if self._gather is None and self._materialize_gather:
-            self._gather = np.stack(
-                [self._gather_row(r) for r in range(self.loops)]
-            )
+            gather = np.empty((self.loops, self._padded), dtype=np.int64)
+            for r in range(self.loops):
+                gather[r] = self._gather_row(r)
+            self._gather = gather
         return self._gather
 
     @shape_contract(

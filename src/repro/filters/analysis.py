@@ -25,11 +25,11 @@ class FilterReport:
     Attributes
     ----------
     passband_min / passband_max:
-        Extremes of ``|freq|`` over the in-bucket offsets ``|o| <= n/(2B)``.
+        Extremes of ``|G_hat|`` over the in-bucket offsets ``|o| <= n/(2B)``.
     passband_ripple:
         ``1 - passband_min / passband_max``.
     stopband_max:
-        Max ``|freq|`` at offsets beyond one bucket spacing (``|o| >= n/B``).
+        Max ``|G_hat|`` at offsets beyond one bucket spacing (``|o| >= n/B``).
     transition_width:
         Bins between the last offset with response >= 0.9 and the first
         with response <= 0.1 (one-sided).
@@ -50,7 +50,7 @@ def analyze_filter(filt: FlatFilter, B: int) -> FilterReport:
     n = filt.n
     n_div_b = n // B
     half_bucket = n_div_b // 2
-    mags = np.abs(filt.freq)
+    mags = np.abs(filt.full_response())
 
     # Offsets within the own-bucket region, both sides of DC.
     pos = mags[: half_bucket + 1]

@@ -8,10 +8,12 @@ that region.  Multiplying the permuted signal by ``G`` and folding into ``B``
 buckets therefore bins each spectral coefficient into one bucket with
 negligible leakage — in only ``O(w)`` time.
 
-The container keeps the time taps and the *exact* ``n``-point frequency
-response of those (truncated) taps, so downstream estimation — which divides
-a bucket value by ``G_hat`` at the coefficient's offset — is unbiased by
-construction.
+The container keeps the time taps and the *exact* frequency response of
+those (truncated) taps over the window of offsets ``|d| <= reach`` that
+estimation reads (``reach = min(2n/B, n/2)``), so dividing a bucket value by
+``G_hat`` at the coefficient's offset is unbiased by construction.  The
+length-``n`` response is only ever computed on demand
+(:meth:`FlatFilter.full_response`), for filter analysis.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FilterDesignError
+from ..errors import FilterDesignError, ParameterError
 
 __all__ = ["FlatFilter"]
 
@@ -38,11 +40,12 @@ class FlatFilter:
         tail so ``w`` is a multiple of ``B`` — see
         :func:`~repro.filters.flat_window.make_flat_window`).  The binning
         step computes ``y[i] = x[(sigma*i + tau) % n] * time[i]``.
-    freq:
-        Exact length-``n`` DFT of the taps placed at positions ``0..w-1`` of
-        a length-``n`` array.  ``freq[d]`` is the response a coefficient
-        picks up when it sits ``d`` bins *below* the sampled bucket center
-        (estimation divides by ``freq[(-offset) % n]``).
+    response:
+        Exact DFT of the taps placed at positions ``0..w-1`` of a
+        length-``n`` array, at the ``2*reach + 1`` offsets
+        ``-reach..reach``: ``response[reach + d]`` is the response a
+        coefficient picks up when it sits ``d`` bins *below* the sampled
+        bucket center (estimation divides by ``response[reach - offset]``).
     window_name:
         Which base window built this filter (``"gaussian"`` or
         ``"dolph-chebyshev"``).
@@ -58,18 +61,19 @@ class FlatFilter:
 
     n: int
     time: np.ndarray
-    freq: np.ndarray
+    response: np.ndarray
     window_name: str
     lobefrac: float
     tolerance: float
     box_width: int
 
     def __post_init__(self) -> None:
-        if self.time.ndim != 1 or self.freq.ndim != 1:
+        if self.time.ndim != 1 or self.response.ndim != 1:
             raise FilterDesignError("filter arrays must be 1-D")
-        if self.freq.size != self.n:
+        if self.response.size % 2 == 0 or self.reach > self.n // 2:
             raise FilterDesignError(
-                f"freq length {self.freq.size} != n={self.n}"
+                f"response window of {self.response.size} offsets is not "
+                f"-reach..reach with reach <= n/2 (n={self.n})"
             )
         if self.time.size > self.n:
             raise FilterDesignError(
@@ -81,22 +85,46 @@ class FlatFilter:
         """Time-domain support ``w`` (number of taps, including padding)."""
         return self.time.size
 
-    def response_at(self, offsets: np.ndarray) -> np.ndarray:
-        """Frequency response at (possibly negative) bin offsets.
+    @property
+    def reach(self) -> int:
+        """Largest ``|offset|`` the stored :attr:`response` window covers."""
+        return (self.response.size - 1) // 2
 
-        ``offsets`` are reduced modulo ``n``; the return has the same shape.
+    def response_at(self, offsets: np.ndarray) -> np.ndarray:
+        """Frequency response at signed bin offsets ``|offset| <= reach``.
+
+        The return has the shape of ``offsets``; an offset outside the
+        stored window raises :class:`~repro.errors.ParameterError` (use
+        :meth:`full_response` for the whole circle).
         """
-        idx = np.mod(np.asarray(offsets, dtype=np.int64), self.n)
-        return self.freq[idx]
+        off = np.asarray(offsets, dtype=np.int64)
+        if off.size and int(np.abs(off).max()) > self.reach:
+            raise ParameterError(
+                f"offset beyond the stored response window (reach={self.reach})"
+            )
+        return self.response[self.reach + off]
+
+    def full_response(self) -> np.ndarray:
+        """The length-``n`` DFT of the zero-padded taps (not cached).
+
+        ``full_response()[d % n]`` equals ``response[reach + d]`` inside the
+        window.  Costs one length-``n`` FFT per call: analysis only, never
+        the transform.
+        """
+        from ..core.fft_backend import get_backend  # core imports filters
+
+        padded = np.zeros(self.n, dtype=np.complex128)
+        padded[: self.time.size] = self.time
+        return get_backend().fft(padded)
 
     def passband_halfwidth(self) -> int:
-        """Half-width (bins) of the region where ``|freq|`` stays above 1/2.
+        """Half-width (bins) of the region where ``|G_hat|`` stays above 1/2.
 
         Measured from the actual response rather than the design spec, so
         tests can assert the construction met its contract.
         """
         half = self.n // 2
-        mags = np.abs(self.freq[:half])
+        mags = np.abs(self.full_response()[:half])
         # Walk outward from DC until the response first drops below 0.5.
         for d in range(1, half):
             if mags[d] < 0.5:
@@ -104,9 +132,10 @@ class FlatFilter:
         return half - 1
 
     def stopband_leakage(self, beyond: int) -> float:
-        """Max ``|freq|`` at offsets with ``beyond <= |offset| <= n/2``."""
+        """Max ``|G_hat|`` at offsets with ``beyond <= |offset| <= n/2``."""
         if beyond >= self.n // 2:
             return 0.0
         # Offsets beyond..n/2 and their negatives n/2..n-beyond form one
         # contiguous run of the length-n response.
-        return float(np.abs(self.freq[beyond : self.n - beyond + 1]).max())
+        full = self.full_response()
+        return float(np.abs(full[beyond : self.n - beyond + 1]).max())

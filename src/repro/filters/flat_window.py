@@ -33,9 +33,71 @@ from .base import FlatFilter
 from .dolph_chebyshev import chebyshev_support, dolph_chebyshev_window
 from .gaussian import gaussian_support, gaussian_window
 
-__all__ = ["make_flat_window", "dirichlet_kernel"]
+__all__ = ["make_flat_window", "dirichlet_kernel", "response_reach"]
 
 _WINDOWS = ("dolph-chebyshev", "gaussian")
+
+
+def response_reach(n: int, B: int) -> int:
+    """Half-width of the stored response window: ``min(2n/B, n/2)`` bins.
+
+    Estimation reads offsets within ``n/(2B)`` of a bucket centre and
+    exact-sparse peeling within ``1.5 n/B``; two bucket widths covers both.
+    """
+    return min(2 * (n // B), n // 2)
+
+
+def _smooth_length(m: int) -> int:
+    """Smallest ``2^a 3^b 5^c >= m`` (an FFT length with only small factors)."""
+    best = 1 << max(0, (m - 1).bit_length())
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            v = p35
+            while v < m:
+                v *= 2
+            best = min(best, v)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _response_window(taps: np.ndarray, n: int, reach: int) -> np.ndarray:
+    """DFT of ``taps`` zero-padded to length ``n``, at bins ``-reach..reach``.
+
+    Bluestein's chirp-z transform: ``j*d = (j^2 + d^2 - (d - j)^2) / 2``
+    turns the window into one linear convolution of length ``w + 2*reach``,
+    three FFTs of a small-factor length instead of one of length ``n``.
+    One chirp table ``exp(-i*pi*q^2/n)`` over ``|q| <= w - 1 + reach``
+    serves the pre-chirp (``q = j``), the filter (``q = d - j``) and the
+    post-chirp (``q = d``).  When the convolution length exceeds ``n/4``
+    (tiny ``n``: measured slower than the plain FFT at ``n = 2^12``) the
+    length-``n`` FFT is sliced instead; both branches return the same
+    window.
+    """
+    w = taps.size
+    size = 2 * reach + 1
+    length = _smooth_length(w + size - 1)
+    backend = get_backend()
+    if length > n // 4:
+        padded = np.zeros(n, dtype=np.complex128)
+        padded[:w] = taps
+        freq = backend.fft(padded)
+        return np.concatenate([freq[n - reach:], freq[: reach + 1]])
+    span = w - 1 + reach
+    q = np.arange(span + 1, dtype=np.int64)
+    # q^2 mod 2n keeps the phase argument small and exact.
+    chirp = np.exp((-1j * np.pi / n) * ((q * q) % (2 * n)))
+    a = np.zeros(length, dtype=np.complex128)
+    a[:w] = taps * chirp[:w]
+    # The filter at q = -span..reach, placed from index 0 (the chirp is even).
+    kern = np.zeros(length, dtype=np.complex128)
+    kern[: span + 1] = np.conj(chirp[::-1])
+    kern[span + 1: span + 1 + reach] = np.conj(chirp[1: reach + 1])
+    conv = backend.ifft(backend.fft(a) * backend.fft(kern))
+    post = np.concatenate([chirp[reach:0:-1], chirp[: reach + 1]])
+    return conv[w - 1: w - 1 + size] * post
 
 
 def dirichlet_kernel(t: np.ndarray, b: int, n: int) -> np.ndarray:
@@ -67,6 +129,12 @@ def make_flat_window(
     pad_to_multiple: int | None = None,
 ) -> FlatFilter:
     """Build a :class:`FlatFilter` binning an ``n``-point spectrum into ``B`` buckets.
+
+    The filter stores its taps and their exact response at offsets
+    ``|d| <= response_reach(n, B)`` only, computed by
+    :func:`_response_window` in ``O((w + n/B) log(w + n/B))``: outside tiny
+    ``n`` no length-``n`` array or FFT is built.  Taps and window are scaled
+    so the window's peak magnitude is 1.
 
     Parameters
     ----------
@@ -148,21 +216,20 @@ def make_flat_window(
         if target >= w:
             taps = np.concatenate([taps, np.zeros(target - w, dtype=np.complex128)])
 
-    # Exact frequency response of the (truncated, padded) taps: this is the
-    # array estimation divides by, so it must match `taps` bit-for-bit.
-    padded = np.zeros(n, dtype=np.complex128)
-    padded[: taps.size] = taps
-    freq = get_backend().fft(padded)
-    peak = np.abs(freq).max()
+    # Exact frequency response of the (truncated, padded) taps over the
+    # offsets estimation reads: this is what it divides by, so it must be
+    # the DFT of `taps` itself, not of the untruncated design.
+    response = _response_window(taps, n, response_reach(n, B))
+    peak = np.abs(response).max()
     if peak <= 0:
         raise FilterDesignError("flat window has zero frequency response")
     taps = taps / peak
-    freq = freq / peak
+    response = response / peak
 
     return FlatFilter(
         n=n,
         time=taps,
-        freq=freq,
+        response=response,
         window_name=window,
         lobefrac=float(lobefrac),
         tolerance=float(tolerance),

@@ -119,7 +119,9 @@ def mod_mult_range(start: int, count: int, step: int, n: int) -> np.ndarray:
     closed form on the loop iterator, which is what makes the permutation
     loop parallelizable.  Computed in ``int64``; ``count * step`` can exceed
     2**63 for huge inputs, so the multiplication is done modulo ``n`` via
-    Python ints only when it would overflow.
+    Python ints only when it would overflow.  For power-of-two ``n`` the
+    reduction is a mask, ``& (n - 1)``: the same values as ``% n`` on the
+    non-negative products, several times faster.
     """
     n = int(n)
     if n <= 0:
@@ -136,4 +138,9 @@ def mod_mult_range(start: int, count: int, step: int, n: int) -> np.ndarray:
             out[j] = v
             v = (v + step) % n
         return out
-    return (i * step + start) % n
+    i *= step
+    i += start
+    if is_power_of_two(n):
+        i &= n - 1
+        return i
+    return i % n

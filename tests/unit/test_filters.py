@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal.windows import chebwin
 
-from repro.errors import FilterDesignError
+from repro.errors import FilterDesignError, ParameterError
 from repro.filters import (
     FlatFilter,
     analyze_filter,
@@ -121,12 +121,14 @@ class TestFlatWindow:
         assert rep.stopband_max < 1e-5
         assert rep.passband_min > 0.9
 
-    def test_freq_is_exact_dft_of_taps(self):
+    def test_response_is_exact_dft_of_taps(self):
         n, B = 2048, 32
         f = make_flat_window(n, B)
         padded = np.zeros(n, dtype=complex)
         padded[: f.width] = f.time
-        assert np.abs(np.fft.fft(padded) - f.freq).max() < 1e-12
+        offsets = np.arange(-f.reach, f.reach + 1)
+        assert np.abs(np.fft.fft(padded)[offsets % n] - f.response).max() \
+            < 1e-12
 
     def test_pad_to_multiple(self):
         n, B = 2048, 32
@@ -143,7 +145,7 @@ class TestFlatWindow:
         # Tiny n with large B forces the cap; filter still valid.
         f = make_flat_window(64, 16)
         assert f.width <= 64
-        assert np.isfinite(np.abs(f.freq)).all()
+        assert np.isfinite(np.abs(f.response)).all()
 
     def test_response_at_wraps_negative_offsets(self):
         f = make_flat_window(1024, 32)
@@ -169,19 +171,94 @@ class TestFlatWindow:
             make_flat_window(2, 2)
 
     def test_flatfilter_validates_shapes(self):
-        with pytest.raises(FilterDesignError):
-            FlatFilter(
+        def build(time_len, response_len):
+            return FlatFilter(
                 n=16,
-                time=np.zeros(4, complex),
-                freq=np.zeros(8, complex),
+                time=np.zeros(time_len, complex),
+                response=np.zeros(response_len, complex),
                 window_name="gaussian",
                 lobefrac=0.1,
                 tolerance=1e-6,
                 box_width=3,
             )
 
+        assert build(4, 9).reach == 4
+        with pytest.raises(FilterDesignError):
+            build(4, 8)  # not a symmetric -reach..reach window
+        with pytest.raises(FilterDesignError):
+            build(4, 19)  # reach 9 > n/2
+        with pytest.raises(FilterDesignError):
+            build(17, 9)  # more taps than n
+
     def test_gaussian_needs_more_taps_than_chebyshev(self):
         # Chebyshev is optimal: for the same spec it needs fewer taps.
         g = make_flat_window(1 << 14, 64, window="gaussian")
         c = make_flat_window(1 << 14, 64, window="dolph-chebyshev")
         assert c.width <= g.width
+
+
+# (n, B) pairs covering both response-window branches: the chirp-z
+# convolution (2^16 and up) and the length-n FFT fallback (tiny n).
+_WINDOW_GRID = [(1 << 10, 16), (1 << 12, 128), (1 << 14, 64), (1 << 16, 512),
+                (1 << 18, 1024), (1 << 20, 8192)]
+
+
+def _assert_window_is_exact(f):
+    """The stored window is the full response at -reach..reach, and holds
+    the global peak the taps were normalised by."""
+    n = f.n
+    offsets = np.arange(-f.reach, f.reach + 1)
+    full = f.full_response()
+    assert np.abs(full[offsets % n] - f.response).max() <= 1e-13
+    peak = int(np.argmax(np.abs(full)))
+    assert min(peak, n - peak) <= f.reach
+    assert np.abs(full).max() == pytest.approx(1.0, abs=1e-13)
+
+
+class TestResponseWindow:
+    @pytest.mark.parametrize("window", ["dolph-chebyshev", "gaussian"])
+    @pytest.mark.parametrize("n,B", _WINDOW_GRID)
+    def test_window_matches_full_response(self, n, B, window):
+        f = make_flat_window(n, B, window=window, pad_to_multiple=B)
+        assert f.reach == min(2 * (n // B), n // 2)
+        _assert_window_is_exact(f)
+
+    @pytest.mark.parametrize("window", ["dolph-chebyshev", "gaussian"])
+    def test_capped_filter_window(self, window):
+        n, B = 256, 32
+        f = make_flat_window(n, B, window=window, pad_to_multiple=B)
+        assert f.width >= n - B  # support hit the signal length
+        _assert_window_is_exact(f)
+
+    def test_both_branches_give_the_same_window(self, monkeypatch):
+        from repro.filters import flat_window
+
+        n, B = 1 << 16, 512
+        chirp = make_flat_window(n, B, pad_to_multiple=B)
+        monkeypatch.setattr(flat_window, "_smooth_length", lambda m: n)
+        dense = make_flat_window(n, B, pad_to_multiple=B)
+        assert np.abs(chirp.response - dense.response).max() <= 1e-13
+        assert np.abs(chirp.time - dense.time).max() <= 1e-13
+
+    def test_response_at_raises_beyond_reach(self):
+        f = make_flat_window(1024, 32)
+        edge = np.array([-f.reach, f.reach])
+        assert np.array_equal(f.response_at(edge), f.response[[0, -1]])
+        with pytest.raises(ParameterError):
+            f.response_at(np.array([f.reach + 1]))
+        with pytest.raises(ParameterError):
+            f.response_at(np.array([0, -f.reach - 1]))
+
+    def test_plan_holds_no_length_n_array(self):
+        from perfbench.counts import plan_bytes
+
+        from repro.core import PlanCache, make_plan
+
+        n = 1 << 16
+        plan = make_plan(n, 16, seed=1)
+        for name, arr in vars(plan.filt).items():
+            if isinstance(arr, np.ndarray):
+                assert arr.size < n, name
+        counts = plan_bytes(plan)
+        assert PlanCache.plan_nbytes(plan) == counts["total"]
+        assert counts["filter.response"] == 16 * (4 * n // plan.B + 1)

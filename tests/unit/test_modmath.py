@@ -119,6 +119,21 @@ class TestModMultRange:
     def test_empty(self):
         assert mod_mult_range(0, 0, 3, 10).size == 0
 
+    @pytest.mark.parametrize("n", [1 << 10, 1 << 22, 1 << 31, 1000, 3 * (1 << 20)])
+    def test_mask_and_modulo_paths_agree(self, n):
+        # Power-of-two n reduces with a mask, other n with ``%``; both must
+        # give the plain ``(start + i*step) % n`` stream, dtype included.
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            start = int(rng.integers(0, n))
+            step = int(rng.integers(1, n)) | 1
+            count = int(rng.integers(1, 5000))
+            got = mod_mult_range(start, count, step, n)
+            ref = (np.arange(count, dtype=np.int64) * step + start) % n
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, ref)
+            assert got[-1] == (start + (count - 1) * step) % n
+
     def test_negative_step_wraps(self):
         got = mod_mult_range(0, 4, -1, 10)
         assert got.tolist() == [0, 9, 8, 7]

@@ -17,7 +17,7 @@ class TestPlanCacheBytes:
         p1 = cache.get_or_make(N, K, seed=1)
         p2 = cache.get_or_make(2 * N, K, seed=2)
         expected = sum(
-            int(p.filt.time.nbytes) + int(p.filt.freq.nbytes)
+            int(p.filt.time.nbytes) + int(p.filt.response.nbytes)
             for p in (p1, p2)
         )
         assert cache.nbytes() == expected

@@ -152,7 +152,7 @@ class TestPlanDescriptors:
                     lease.plan.filt.time, plan.filt.time
                 )
                 np.testing.assert_array_equal(
-                    lease.plan.filt.freq, plan.filt.freq
+                    lease.plan.filt.response, plan.filt.response
                 )
                 np.testing.assert_array_equal(
                     lease.workspace.taps_flat, ws.taps_flat

@@ -162,6 +162,38 @@ class TestPlanSerialization:
             p.sigma for p in plan.permutations
         ]
 
+    def test_schema1_file_loads(self, tmp_path):
+        # Schema 1 stored the length-n response as ``filter_freq``; loading
+        # keeps only the window the transform reads.
+        plan = make_plan(1 << 12, 8, seed=1)
+        p = plan.params
+        path1 = tmp_path / "plan_v1.npz"
+        np.savez_compressed(
+            path1,
+            schema=np.array([1]),
+            n=p.n, k=p.k, B=p.B, loops=p.loops,
+            vote_threshold=p.vote_threshold, select_count=p.select_count,
+            window=np.array(p.window), tolerance=p.tolerance,
+            lobefrac=p.lobefrac, loc_loops=np.array([-1]),
+            filter_time=plan.filt.time,
+            filter_freq=plan.filt.full_response(),
+            filter_box_width=plan.filt.box_width,
+            sigmas=np.array([q.sigma for q in plan.permutations]),
+            taus=np.array([q.tau for q in plan.permutations]),
+        )
+        path2 = tmp_path / "plan_v2.npz"
+        save_plan(plan, path2)
+        v1, v2 = load_plan(path1), load_plan(path2)
+        assert v1.params == v2.params == plan.params
+        assert v1.filt.reach == v2.filt.reach
+        assert np.abs(v1.filt.response - v2.filt.response).max() < 1e-13
+        sig = make_sparse_signal(1 << 12, 8, seed=2)
+        a = sfft(sig.time, plan=v1)
+        b = sfft(sig.time, plan=v2)
+        assert np.array_equal(a.locations, b.locations)
+        assert np.array_equal(a.votes, b.votes)
+        assert np.allclose(a.values, b.values, rtol=1e-12, atol=0)
+
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "bogus.npz"
         np.savez(path, schema=np.array([99]))

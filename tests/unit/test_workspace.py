@@ -8,6 +8,7 @@ import pytest
 from repro.core import (
     PlanWorkspace,
     bin_vectorized,
+    make_plan,
     permuted_indices,
     sfft,
     sfft_batch_fused,
@@ -38,6 +39,18 @@ class TestWorkspaceArrays:
             np.testing.assert_array_equal(
                 g[r], permuted_indices(perm, ws.rounds * ws.B)
             )
+
+    @pytest.mark.parametrize("n", [1 << 12, 1 << 16])
+    def test_gather_matches_modulo_rows(self, n):
+        # The preallocated, masked gather build equals the stacked ``% n``
+        # rows (plans are power-of-two; test_modmath covers other n).
+        plan = make_plan(n, 4, seed=5, B=64)
+        ws = PlanWorkspace(plan)
+        i = np.arange(ws.rounds * ws.B, dtype=np.int64)
+        ref = np.stack([(i * p.sigma + p.tau) % n
+                        for p in plan.permutations])
+        assert ws.gather.dtype == np.int64
+        np.testing.assert_array_equal(ws.gather, ref)
 
     def test_taps_flat_is_a_view_when_already_padded(self, plan_small):
         ws = plan_small.workspace()
