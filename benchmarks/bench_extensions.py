@@ -66,13 +66,6 @@ def test_print_ext_noise(benchmark):
     )
 
 
-def test_print_ext_comb(benchmark):
-    benchmark.pedantic(
-        lambda: print_experiment("ext-comb", n=1 << 16, ks=(8, 32)),
-        rounds=1, iterations=1,
-    )
-
-
 def test_print_ext_offgrid(benchmark):
     benchmark.pedantic(
         lambda: print_experiment("ext-offgrid", n=1 << 14, k=8, trials=1),

@@ -130,11 +130,6 @@ COMMENTARY = {
         "recall stays above 93% down to 0 dB SNR; the value error tracks "
         "the noise floor."
     ),
-    "ext-comb": (
-        "Extension: the sFFT-2.0 Comb pre-filter screens residue classes "
-        "with 3 cheap aliasing passes; the true support always survives "
-        "and location voting shrinks to the approved fraction."
-    ),
     "ext-ldg": (
         "Extension: routing the scattered signal gathers through the "
         "read-only data cache the paper describes (Section II-A) but never "
@@ -163,7 +158,6 @@ COMMENTARY = {
 OPTIONS: dict[str, dict] = {
     "fig5f": {"n": 1 << 20, "trials": 3},
     "ext-noise": {"n": 1 << 18, "k": 50, "trials": 3},
-    "ext-comb": {"n": 1 << 18},
     "ext-offgrid": {"n": 1 << 16, "trials": 2},
     "ext-exact": {"sizes": [1 << 14, 1 << 16, 1 << 18]},
 }
@@ -173,7 +167,7 @@ ORDER = [
     "fig5a", "fig5b", "fig5c", "fig5d", "fig5e", "fig5f",
     "table1", "table2",
     "abl-partition", "abl-layout", "abl-select", "abl-batch",
-    "ext-devices", "ext-tuning", "ext-noise", "ext-comb", "ext-ldg",
+    "ext-devices", "ext-tuning", "ext-noise", "ext-ldg",
     "ext-offgrid", "ext-exact",
 ]
 
@@ -188,8 +182,8 @@ Tesla K20x of Table I and the Xeon E5-2640 of Table II — exactly as
 DESIGN.md describes: functional correctness is established by real NumPy
 execution and ~500 tests; timing comes from operation/transaction counts
 priced by the machine models, so figure *shapes* (who wins, crossovers,
-slopes) are emergent, not fitted.  Accuracy experiments (fig5f, ext-noise,
-ext-comb) are fully functional: real transforms, real numerics.  All runs
+slopes) are emergent, not fitted.  Accuracy experiments (fig5f, ext-noise)
+are fully functional: real transforms, real numerics.  All runs
 use the paper's evaluation configuration: B = sqrt(n·k/log2 n), L = 6
 loops, cutoff keeping k buckets, 1e-6 filter tolerance
 (`repro.experiments.paper_kwargs`).

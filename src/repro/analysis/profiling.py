@@ -82,9 +82,7 @@ def measure_breakdown(
     for _ in range(repeats):
         res = sfft(sig.time, plan=plan, tracer=Tracer())
         for name, t in res.step_times.items():
-            # step_times may carry extra stages (e.g. "comb") beyond the
-            # canonical five; fold them in rather than KeyError.
-            best[name] = min(best.get(name, float("inf")), t)
+            best[name] = min(best[name], t)
     return StepBreakdown(n=n, k=k, seconds=dict(best))
 
 

@@ -10,7 +10,6 @@ from .fft_backend import (
     registered_backends,
     set_default_backend,
 )
-from .comb import comb_approved_residues, comb_spectrum
 from .cutoff import (
     cutoff,
     cutoff_rows,
@@ -57,8 +56,6 @@ from .workspace import GATHER_ELEMENT_CAP, PlanWorkspace
 
 __all__ = [
     "bin_loop_partition",
-    "comb_approved_residues",
-    "comb_spectrum",
     "bin_serial",
     "bin_vectorized",
     "cutoff",

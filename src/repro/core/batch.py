@@ -2,8 +2,8 @@
 
 Plans amortize filter synthesis; this module amortizes *execution*
 overhead across an ``(S, n)`` signal stack the way the GPU implementation
-amortizes kernel launches.  :func:`sfft_batch_fused` validates the stack,
-builds any Comb masks and runs the one six-step pipeline,
+amortizes kernel launches.  :func:`sfft_batch_fused` validates the stack
+and runs the one six-step pipeline,
 :func:`~repro.core.sfft.run_stack_pipeline`, over all ``S`` signals:
 
 * steps 1-2 run one chunked gather + fold over all ``S * L``
@@ -22,9 +22,9 @@ builds any Comb masks and runs the one six-step pipeline,
 every stage is per-signal independent, so ``sfft_batch_fused(X, plan)[s]``
 recovers the same support as ``sfft(X[s], plan=plan)`` with
 (floating-point-)identical values — the property suite asserts this signal
-for signal, with and without the Comb pre-filter.  The same
-independence lets the sharded executor (:mod:`repro.core.executor`) drive
-slices of a stack through the pipeline concurrently.
+for signal.  The same independence lets the sharded executor
+(:mod:`repro.core.executor`) drive slices of a stack through the pipeline
+concurrently.
 
 The public entry point is :func:`repro.core.variants.sfft_batch`, which
 resolves the plan and routes to this engine or to the executor.
@@ -36,10 +36,9 @@ import numpy as np
 
 from ..analysis.staticcheck.contracts import shape_contract
 from ..errors import ParameterError
-from ..utils.rng import RngLike
 from ..utils.validation import as_complex_signal
 from .plan import SfftPlan
-from .sfft import SparseFFTResult, comb_masks_for_stack, run_stack_pipeline
+from .sfft import SparseFFTResult, run_stack_pipeline
 
 __all__ = ["sfft_batch_fused", "as_signal_stack"]
 
@@ -67,24 +66,10 @@ def as_signal_stack(X: np.ndarray, plan: SfftPlan) -> np.ndarray:
 
 @shape_contract("X:*, plan:* -> *", bind={"n": "plan.n"})
 def sfft_batch_fused(
-    X: np.ndarray,
-    plan: SfftPlan,
-    *,
-    comb_width: int | None = None,
-    seed: RngLike = None,
+    X: np.ndarray, plan: SfftPlan
 ) -> list[SparseFFTResult]:
     """Transform an ``(S, n)`` signal stack under one plan, fully batched.
 
-    ``comb_width`` enables the Comb pre-filter as in
-    :func:`~repro.core.sfft.sfft`; ``seed`` only seeds its permutations,
-    exactly as it does in the per-signal driver.  Returns one
-    :class:`~repro.core.sfft.SparseFFTResult` per stack row.
+    Returns one :class:`~repro.core.sfft.SparseFFTResult` per stack row.
     """
-    X = as_signal_stack(X, plan)
-
-    # Optional sFFT-2.0 Comb screen.
-    residue_filters = None
-    if comb_width is not None:
-        residue_filters = comb_masks_for_stack(X, plan, comb_width, seed)
-
-    return run_stack_pipeline(X, plan, residue_filters=residue_filters)
+    return run_stack_pipeline(as_signal_stack(X, plan), plan)

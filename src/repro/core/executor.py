@@ -42,10 +42,7 @@ Concurrency hygiene mirrors the GPU resource model:
   analog of per-stream device buffers;
 * the bucket FFT resolves the process-default backend
   (:mod:`repro.core.fft_backend`); process workers bind the backend the
-  parent resolves, so every mode runs the same FFT;
-* Comb masks (data-dependent, possibly Generator-seeded) are built
-  serially in stack order before sharding, so seeding semantics match the
-  serial engine exactly — in every mode and under every start method.
+  parent resolves, so every mode runs the same FFT.
 
 Observability: each shard's stage spans land on its worker's trace track
 (``worker0``, ``worker1``, ... — mirroring the simulator's per-stream
@@ -84,10 +81,9 @@ import numpy as np
 from ..analysis.staticcheck.contracts import shape_contract
 from ..errors import ExecutorError, ParameterError
 from ..obs import MetricsRegistry, Tracer, global_registry, monotonic
-from ..utils.rng import RngLike
 from .batch import as_signal_stack
 from .plan import SfftPlan
-from .sfft import SparseFFTResult, comb_masks_for_stack, run_stack_pipeline
+from .sfft import SparseFFTResult, run_stack_pipeline
 from .shm import (
     AttachedSegment,
     PlanDescriptor,
@@ -192,13 +188,9 @@ def _process_shard(
     data = AttachedSegment(data_specs["stack"].segment)
     try:
         stack = data.view(data_specs["stack"])
-        masks = None
-        if "masks" in data_specs:
-            masks = data.view(data_specs["masks"])
         out = run_stack_pipeline(
             stack[lo:hi], lease.plan,
             workspace=lease.workspace,
-            residue_filters=None if masks is None else masks[lo:hi],
             stage=stage,
         )
         out_locs = data.view(data_specs["out_locations"], writeable=True)
@@ -311,18 +303,16 @@ class ShardedExecutor:
         X: np.ndarray,
         plan: SfftPlan,
         *,
-        comb_width: int | None = None,
-        seed: RngLike = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> list[SparseFFTResult]:
         """Transform an ``(S, n)`` stack; results match the serial engine.
 
-        ``comb_width`` and ``seed`` mirror :func:`~repro.core.batch.sfft_batch_fused`
-        (which also defines the reference output this method is
-        bit-identical to, in both modes).  ``tracer`` receives per-shard
-        stage spans on per-worker tracks; ``metrics`` (default: the global
-        registry) receives the ``sfft.executor.*`` family.
+        :func:`~repro.core.batch.sfft_batch_fused` defines the reference
+        output this method is bit-identical to, in both modes.
+        ``tracer`` receives per-shard stage spans on per-worker tracks;
+        ``metrics`` (default: the global registry) receives the
+        ``sfft.executor.*`` family.
 
         In process mode a worker death surfaces as
         :class:`~repro.errors.ExecutorError` — after every shared segment
@@ -336,35 +326,20 @@ class ShardedExecutor:
         nw = min(self.workers, len(bounds))
         run_t0 = monotonic()
 
-        masks = None
-        if comb_width is not None:
-            # Serial, in stack order: Generator seeds must draw the same
-            # permutation sequence the serial engine would — regardless of
-            # mode or start method.
-            t0 = monotonic()
-            masks = comb_masks_for_stack(X, plan, comb_width, seed)
-            if tracer is not None:
-                tracer.add_span(
-                    "comb", start_s=t0 - run_t0,
-                    duration_s=monotonic() - t0,
-                    category="executor", track=EXECUTOR_TRACK, depth=1,
-                    attrs={"W": comb_width, "parent": "executor.run"},
-                )
-
         if self.mode == "process":
             results, waits, busys = self._run_processes(
-                X, plan, bounds=bounds, nw=nw, masks=masks, run_t0=run_t0,
+                X, plan, bounds=bounds, nw=nw, run_t0=run_t0,
                 registry=registry, tracer=tracer,
             )
         else:
             results, waits, busys = self._run_threads(
-                X, plan, bounds=bounds, nw=nw, masks=masks, run_t0=run_t0,
+                X, plan, bounds=bounds, nw=nw, run_t0=run_t0,
                 registry=registry, tracer=tracer,
             )
 
         wall = monotonic() - run_t0
         if tracer is not None:
-            # Root of the span DAG: every comb/shard/stage span carries a
+            # Root of the span DAG: every shard/stage span carries a
             # `parent` attr pointing (transitively) here, and the critical
             # path engine charges otherwise-uncovered intervals to this
             # span rather than to "(idle)".
@@ -403,7 +378,7 @@ class ShardedExecutor:
     # -- thread mode ---------------------------------------------------------
 
     def _run_threads(
-        self, X, plan, *, bounds, nw, masks, run_t0, registry, tracer,
+        self, X, plan, *, bounds, nw, run_t0, registry, tracer,
     ):
         # One leased workspace per worker: shared immutable gather/taps,
         # private scratch (double-buffered in the sense that a worker's
@@ -457,7 +432,6 @@ class ShardedExecutor:
                 out = run_stack_pipeline(
                     X[lo:hi], plan,
                     workspace=ws,
-                    residue_filters=None if masks is None else masks[lo:hi],
                     stage=stage,
                 )
             finally:
@@ -495,7 +469,7 @@ class ShardedExecutor:
     # -- process mode --------------------------------------------------------
 
     def _run_processes(
-        self, X, plan, *, bounds, nw, masks, run_t0, registry, tracer,
+        self, X, plan, *, bounds, nw, run_t0, registry, tracer,
     ):
         S = X.shape[0]
         k = plan.params.k
@@ -518,8 +492,6 @@ class ShardedExecutor:
         plan_bundle = SegmentBundle.create(base_arrays, label="sfft-plan")
         try:
             data_arrays: dict[str, np.ndarray] = {"stack": X}
-            if masks is not None:
-                data_arrays["masks"] = masks
             # Results are bounded by k per signal, so shards write straight
             # into one shared output block.
             data_arrays["out_locations"] = np.zeros((S, k), np.int64)

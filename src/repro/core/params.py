@@ -4,8 +4,8 @@ Every plan-less transform call (``sfft(x, k)``, ``sfft_batch(stack, k)``)
 routes its tuned knobs through :func:`resolve_sfft_config` before touching
 the plan cache.  Precedence, highest first:
 
-1. **explicit kwargs** — any derivation override (or an explicit
-   ``comb_width``) passed by the caller pins the configuration verbatim;
+1. **explicit kwargs** — any derivation override passed by the caller
+   pins the configuration verbatim;
 2. **wisdom store** — a fresh ``repro.wisdom/1`` entry for the workload
    class (``REPRO_WISDOM`` names the store; see :mod:`repro.tune.wisdom`);
    entries whose plan fingerprint no longer matches current derivation
@@ -59,15 +59,25 @@ def _reject_unknown(options: Mapping[str, Any]) -> None:
         raise ParameterError(f"unknown options {unknown}")
 
 
-def reject_plan_overrides(options: Mapping[str, Any]) -> None:
+def reject_plan_overrides(plan: Any, k: int | None, seed: Any,
+                          options: Mapping[str, Any]) -> None:
     """The explicit-plan check: a call that passes ``plan=`` takes no
-    derivation overrides, and unknown keys are named as unknown."""
+    derivation overrides, no ``seed`` (the plan has drawn its
+    permutations) and no ``k`` other than ``plan.k``; unknown keys are
+    named as unknown first."""
     _reject_unknown(options)
     if options:
         raise ParameterError(
             f"unexpected options {sorted(options)}: plan derivation "
             f"overrides do not apply to an explicit plan"
         )
+    if seed is not None:
+        raise ParameterError(
+            "seed= does not apply to an explicit plan: its permutations "
+            "are already drawn"
+        )
+    if k is not None and k != plan.k:
+        raise ParameterError(f"k={k} differs from the plan's k={plan.k}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +91,6 @@ class ResolvedConfig:
 
     source: str
     overrides: dict[str, Any] = field(default_factory=dict)
-    comb_width: int | None = None
     workers: int = 1
     class_key: str | None = None
 
@@ -113,12 +122,10 @@ def _from_wisdom(n: int, k: int, *, batch_size: int, noise_class: str,
         _count("sfft.wisdom.stale")
         return None
     _count("sfft.wisdom.hit")
-    config = record["config"]
     return ResolvedConfig(
         source="wisdom",
         overrides=wisdom_overrides(record),
-        comb_width=config.get("comb_width"),
-        workers=int(config.get("workers", 1) or 1),
+        workers=int(record["config"].get("workers", 1) or 1),
         class_key=record["class"],
     )
 
@@ -130,25 +137,29 @@ def resolve_sfft_config(
     batch_size: int = 1,
     noise_class: str = "exact",
     explicit: dict[str, Any] | None = None,
-    comb_width: int | None = None,
+    comb_width: None = None,
     wisdom_path: str | None = None,
 ) -> ResolvedConfig:
     """Resolve the tuned knobs for one ``(n, k)`` call site.
 
     ``explicit`` is the caller's derivation-override dict (possibly
-    empty); any entry — or an explicit ``comb_width`` — short-circuits the
-    whole chain, so passing overrides always behaves exactly as before
-    wisdom existed.  ``wisdom_path`` overrides ``$REPRO_WISDOM`` (mostly
-    for tests); an empty string disables the wisdom leg outright.  A key
-    that is not a derivation override raises
-    :class:`~repro.errors.ParameterError` before any lookup.
+    empty); any entry short-circuits the whole chain, so passing
+    overrides always behaves exactly as before wisdom existed.
+    ``wisdom_path`` overrides ``$REPRO_WISDOM`` (mostly for tests); an
+    empty string disables the wisdom leg outright.  A key that is not a
+    derivation override raises :class:`~repro.errors.ParameterError`
+    before any lookup.  ``comb_width`` survives for callers written when
+    the sFFT-2.0 Comb pre-filter existed: only ``None`` is accepted.
     """
+    if comb_width is not None:
+        raise ParameterError(
+            f"comb_width={comb_width!r}: the Comb pre-filter was removed; "
+            f"only None is accepted"
+        )
     explicit = dict(explicit or {})
     _reject_unknown(explicit)
-    if explicit or comb_width is not None:
-        return ResolvedConfig(
-            source="explicit", overrides=explicit, comb_width=comb_width
-        )
+    if explicit:
+        return ResolvedConfig(source="explicit", overrides=explicit)
 
     path = wisdom_path if wisdom_path is not None \
         else os.environ.get(ENV_WISDOM, "")

@@ -151,7 +151,6 @@ def _scatter_votes(
     selected: list[list[np.ndarray]],
     permutations: list[Permutation],
     B: int,
-    masks: np.ndarray | None,
 ) -> None:
     """Add every ``(signal, loop)`` row's votes to the flat ``(S*n)`` scores.
 
@@ -178,11 +177,9 @@ def _scatter_votes(
         if a == b:
             continue
         cands = _candidate_block(J[a:b], perm, n // B)
-        keep = None if masks is None \
-            else masks[sig[a:b, None], cands % masks.shape[1]]
         if S > 1:
             cands += (sig[a:b] * n)[:, None]
-        scores[cands if keep is None else cands[keep]] += 1
+        scores[cands] += 1
 
 
 @shape_contract("selected_per_loop:*, permutations:* -> *",
@@ -193,22 +190,16 @@ def recover_locations(
     B: int,
     vote_threshold: int,
     *,
-    residue_filter: np.ndarray | None = None,
     scores_out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run voting over all loops; return ``(hit_frequencies, their_scores)``.
 
     :func:`recover_locations_stack` on a stack of one signal.
-    ``residue_filter`` is the optional sFFT-2.0 Comb screen (see
-    :mod:`repro.core.comb`): a boolean mask of length ``W`` — candidates
-    whose residue ``f mod W`` is not approved never enter the vote.
     ``scores_out`` is an optional length-``n`` ``int16`` score buffer.
     """
-    masks = None if residue_filter is None \
-        else np.asarray(residue_filter, dtype=bool)[None]
     hits, votes = recover_locations_stack(
         [selected_per_loop], permutations, B, vote_threshold,
-        residue_filters=masks, scores_out=scores_out,
+        scores_out=scores_out,
     )
     return hits[0], votes[0]
 
@@ -222,7 +213,6 @@ def recover_locations_stack(
     B: int,
     vote_threshold: int,
     *,
-    residue_filters: np.ndarray | None = None,
     scores_out: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Voting for a signal stack — the pipeline's step 5.
@@ -237,12 +227,10 @@ def recover_locations_stack(
     by ``s * n``, straight into the scores — distinct keys own disjoint
     candidates (module docstring), so no index repeats within a scatter.
 
-    ``residue_filters`` is the optional per-signal Comb screen, one boolean
-    mask row per signal (masks are data-dependent, so they cannot be shared
-    across the stack).  ``scores_out`` is an optional ``(S * n,)``
-    ``int16`` score buffer, zeroed here (the pipeline passes the
-    workspace's resident one for a single signal).  Returns per-signal
-    ``(hits, votes)`` lists, hits ascending.
+    ``scores_out`` is an optional ``(S * n,)`` ``int16`` score buffer,
+    zeroed here (the pipeline passes the workspace's resident one for a
+    single signal).  Returns per-signal ``(hits, votes)`` lists, hits
+    ascending.
     """
     S = len(selected)
     if S < 1:
@@ -256,13 +244,6 @@ def recover_locations_stack(
         if len(rows) != loops:
             raise ParameterError(
                 "one selected-bucket set per (signal, permutation) required"
-            )
-    masks = None
-    if residue_filters is not None:
-        masks = np.asarray(residue_filters, dtype=bool)
-        if masks.ndim != 2 or masks.shape[0] != S or masks.shape[1] < 1:
-            raise ParameterError(
-                f"residue_filters must be (S, W) boolean, got {masks.shape}"
             )
     n = permutations[0].n
     if B < 1 or n % B != 0:
@@ -278,7 +259,7 @@ def recover_locations_stack(
         scores_out.fill(0)
         scores = scores_out
 
-    _scatter_votes(scores, selected, permutations, B, masks)
+    _scatter_votes(scores, selected, permutations, B)
     hot = np.flatnonzero(scores >= vote_threshold)
     votes = scores[hot].astype(np.int64)
     edges = np.searchsorted(hot, np.arange(S + 1) * n).tolist()

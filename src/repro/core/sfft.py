@@ -33,7 +33,6 @@ from ..errors import ParameterError
 from ..obs import MetricsRegistry, Tracer, emit_sfft_metrics, global_registry
 from ..utils.rng import RngLike
 from ..utils.validation import as_complex_signal
-from .comb import comb_approved_residues
 from .cutoff import cutoff_rows
 from .estimation import estimate_values_stack
 from .params import reject_plan_overrides, resolve_sfft_config
@@ -41,8 +40,7 @@ from .plan import SfftPlan
 from .plan_cache import cached_plan
 from .recovery import recover_locations_stack
 
-__all__ = ["SparseFFTResult", "sfft", "run_stack_pipeline",
-           "comb_masks_for_stack", "STEP_NAMES"]
+__all__ = ["SparseFFTResult", "sfft", "run_stack_pipeline", "STEP_NAMES"]
 
 STEP_NAMES = ("perm_filter", "bucket_fft", "cutoff", "recovery", "estimation")
 
@@ -65,7 +63,6 @@ class SparseFFTResult:
     step_times:
         Wall-clock seconds per pipeline step when the call was traced,
         else ``None``.  A view over ``trace``: each step's spans summed.
-        Includes a ``"comb"`` entry when the sFFT-2.0 pre-filter ran.
     trace:
         The :class:`~repro.obs.Tracer` that clocked the run (traced calls
         only); ``trace.export_chrome_trace()`` renders it for
@@ -110,26 +107,6 @@ class SparseFFTResult:
         return {int(f): complex(v) for f, v in zip(self.locations, self.values)}
 
 
-@shape_contract("X:(S, n), plan:* -> (S, W)",
-                bind={"n": "plan.n", "W": "comb_width"})
-def comb_masks_for_stack(
-    X: np.ndarray,
-    plan: SfftPlan,
-    comb_width: int,
-    seed: RngLike,
-) -> np.ndarray:
-    """Per-signal sFFT-2.0 Comb masks, built row by row in stack order.
-
-    The masks are data-dependent, hence per-signal.  Computed in *stack
-    order* so a :class:`numpy.random.Generator` seed draws the same
-    permutation sequence whether the stack later runs serially or sharded.
-    """
-    return np.stack([
-        comb_approved_residues(X[s], comb_width, plan.params.k, seed=seed)
-        for s in range(X.shape[0])
-    ])
-
-
 def _no_stage(name, **attrs):
     return nullcontext()
 
@@ -143,16 +120,13 @@ def run_stack_pipeline(
     plan: SfftPlan,
     *,
     workspace=None,
-    residue_filters: np.ndarray | None = None,
     stage=None,
     metrics: MetricsRegistry | None = None,
 ) -> list[SparseFFTResult]:
     """Drive a validated ``(S, n)`` stack through the six-step pipeline.
 
     ``X`` must already be a validated stack (see
-    :func:`~repro.core.batch.as_signal_stack`) and any Comb masks must be
-    precomputed (``residue_filters``, one row per signal — see
-    :func:`comb_masks_for_stack`).  ``workspace`` is the
+    :func:`~repro.core.batch.as_signal_stack`).  ``workspace`` is the
     :class:`~repro.core.workspace.PlanWorkspace` to execute with — the
     sharded executor passes a per-worker clone; the default is the plan's
     cached workspace.  ``stage`` is an optional ``stage(name, **attrs)``
@@ -198,7 +172,6 @@ def run_stack_pipeline(
     with stage("recovery", loops=v_loops):
         hits, votes = recover_locations_stack(
             selected, perms_v, B, params.vote_threshold,
-            residue_filters=residue_filters,
             scores_out=ws.scores if S == 1 else None,
         )
 
@@ -228,7 +201,6 @@ def sfft(
     *,
     plan: SfftPlan | None = None,
     seed: RngLike = None,
-    comb_width: int | None = None,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     **plan_overrides,
@@ -241,17 +213,16 @@ def sfft(
         Length-``n`` signal (``n`` a power of two); real inputs are widened
         to complex.
     k:
-        Target sparsity.  Optional when ``plan`` is given.
+        Target sparsity.  Optional when ``plan`` is given, and then it
+        must equal ``plan.k``.
     plan:
         A reusable :class:`~repro.core.plan.SfftPlan`; obtained from the
         process-level plan cache (with ``seed`` / ``plan_overrides``) when
         omitted, so repeat convenience calls of one shape pay filter
         synthesis once — see :mod:`repro.core.plan_cache`.
-    comb_width:
-        Enable the sFFT-2.0 Comb pre-filter with ``W = comb_width`` residue
-        classes (a power of two dividing ``n``): cheap aliasing passes
-        screen the spectrum and location recovery only votes for approved
-        residues.  ``None`` (default) disables it.
+    seed:
+        Seeds the permutations of a plan-less call's plan.  An explicit
+        ``plan`` has drawn its permutations already, so it takes none.
     tracer:
         Clock each step as a span on this :class:`~repro.obs.Tracer` and
         surface the per-step seconds as ``step_times``; one tracer can
@@ -264,7 +235,8 @@ def sfft(
         Derivation overrides for a plan-less call (any keyword of
         :func:`~repro.core.parameters.derive_parameters`, e.g.
         ``loops=6`` or ``profile="fast"``).  Any other key, or any key
-        alongside ``plan``, raises :class:`~repro.errors.ParameterError`.
+        alongside ``plan``, raises :class:`~repro.errors.ParameterError`,
+        as do a ``seed`` or a different ``k`` alongside ``plan``.
 
     Returns
     -------
@@ -278,14 +250,10 @@ def sfft(
         # The resolution seam: explicit overrides win verbatim; otherwise
         # a configured wisdom store, then paper defaults (see
         # repro.core.params).
-        resolved = resolve_sfft_config(
-            x.size, k, explicit=plan_overrides, comb_width=comb_width,
-        )
-        if comb_width is None:
-            comb_width = resolved.comb_width
+        resolved = resolve_sfft_config(x.size, k, explicit=plan_overrides)
         plan = cached_plan(x.size, k, seed=seed, **resolved.overrides)
     else:
-        reject_plan_overrides(plan_overrides)
+        reject_plan_overrides(plan, k, seed, plan_overrides)
         x = as_complex_signal(x, plan.n)
 
     stage = _no_stage
@@ -295,31 +263,19 @@ def sfft(
         def stage(name: str, **attrs):
             return tracer.span(name, category="sfft", **attrs)
 
-    # Optional sFFT-2.0 Comb screen — timed as its own step so Figure-2
-    # style breakdowns account for every stage that ran.
-    X = x[None]
-    residue_filters = None
-    if comb_width is not None:
-        with stage("comb", W=comb_width):
-            residue_filters = comb_masks_for_stack(X, plan, comb_width, seed)
-
     [result] = run_stack_pipeline(
-        X, plan,
-        residue_filters=residue_filters,
+        x[None], plan,
         stage=stage,
         metrics=(metrics if metrics is not None else global_registry())
         if tracer is not None else None,
     )
 
     if tracer is not None:
-        # step_times is a view over this call's spans, plus "comb" when
-        # the pre-filter ran.
+        # step_times is a view over this call's spans.
         by_name: dict[str, float] = {}
         for sp in tracer.spans[span_start:]:
             if sp.category == "sfft":
                 by_name[sp.name] = by_name.get(sp.name, 0.0) + sp.duration_s
         times = {name: by_name.get(name, 0.0) for name in STEP_NAMES}
-        if "comb" in by_name:
-            times = {"comb": by_name["comb"], **times}
         result = replace(result, step_times=times, trace=tracer)
     return result

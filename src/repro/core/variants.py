@@ -95,7 +95,6 @@ def sfft_batch(
     *,
     plan: SfftPlan | None = None,
     seed: RngLike = None,
-    comb_width: int | None = None,
     executor=None,
     **plan_overrides,
 ) -> list[SparseFFTResult]:
@@ -106,11 +105,12 @@ def sfft_batch(
     process-level cache when not supplied; the stack then runs through the
     fused batch engine (:mod:`repro.core.batch`) — one gather, one
     ``(S*L, B)`` bucket FFT, one vote pass for every signal.  Per-signal
-    results match ``sfft(signals[s], plan=plan)`` exactly.  ``comb_width``
-    and ``plan_overrides`` mean what they mean for
+    results match ``sfft(signals[s], plan=plan)`` exactly.  ``seed`` and
+    ``plan_overrides`` mean what they mean for
     :func:`~repro.core.sfft.sfft`, including the
-    :class:`~repro.errors.ParameterError` for an unknown key or for a
-    derivation override alongside ``plan``.
+    :class:`~repro.errors.ParameterError` for an unknown key, or for a
+    derivation override, a ``seed`` or a different ``k`` alongside
+    ``plan``.
 
     ``executor`` parallelizes the fused engine across shards of the stack:
     pass a :class:`~repro.core.executor.ShardedExecutor`, or an ``int``
@@ -144,21 +144,16 @@ def sfft_batch(
         if k is None:
             raise ParameterError("either k or a plan must be provided")
         # The resolution seam (repro.core.params): a wisdom hit supplies
-        # B/loops/comb for the plan plus — because the batch surface owns
-        # it — the worker count, never overriding anything the caller
-        # pinned.
+        # B/loops for the plan plus — because the batch surface owns it —
+        # the worker count, never overriding anything the caller pinned.
         resolved = resolve_sfft_config(
             n, k, batch_size=len(rows), explicit=plan_overrides,
-            comb_width=comb_width,
         )
         plan = cached_plan(n, k, seed=seed, **resolved.overrides)
-        if resolved.source == "wisdom":
-            if comb_width is None:
-                comb_width = resolved.comb_width
-            if executor is None and resolved.workers > 1:
-                executor = resolved.workers
+        if executor is None and resolved.workers > 1:
+            executor = resolved.workers
     else:
-        reject_plan_overrides(plan_overrides)
+        reject_plan_overrides(plan, k, seed, plan_overrides)
     X = stack if stack is not None else np.stack(rows)
     if executor is not None:
         from .executor import ShardedExecutor
@@ -170,5 +165,5 @@ def sfft_batch(
                 f"executor must be a ShardedExecutor or an int worker "
                 f"count, got {type(executor).__name__}"
             )
-        return executor.run(X, plan, comb_width=comb_width, seed=seed)
-    return sfft_batch_fused(X, plan, comb_width=comb_width, seed=seed)
+        return executor.run(X, plan)
+    return sfft_batch_fused(X, plan)

@@ -10,8 +10,6 @@ Intel Xeon Phi"; these experiments follow through on the reproduction:
   formula (the per-size ``Bcst`` tuning the authors did by hand);
 * ``ext-noise``   — functional recovery robustness vs SNR (extends the
   noiseless Fig 5(f));
-* ``ext-comb``    — the sFFT-2.0 Comb pre-filter: screening quality and the
-  voting-work reduction it buys;
 * ``ext-ldg``     — routing the signal gathers through Kepler's read-only
   data cache (described in the paper's Section II-A but unused by cusFFT);
 * ``ext-offgrid`` — leakage stress with non-integer tone frequencies, the
@@ -23,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.accuracy import score_result
-from ..core.comb import comb_approved_residues
 from ..core.dense import dense_fft
 from ..core.plan import make_plan
 from ..core.sfft import sfft
@@ -44,7 +41,6 @@ __all__ = [
     "run_ext_devices",
     "run_ext_tuning",
     "run_ext_noise",
-    "run_ext_comb",
     "run_ext_ldg",
     "run_ext_offgrid",
     "run_ext_exact",
@@ -160,44 +156,6 @@ def run_ext_noise(
             "extension: the paper evaluates noiseless inputs; voting keeps "
             "recall high well below 20 dB while value error scales with the "
             "noise floor",
-        ),
-    )
-
-
-def run_ext_comb(
-    n: int = 1 << 18,
-    ks: tuple[int, ...] = (10, 50, 200),
-    *,
-    seed: int = 11,
-) -> ExperimentResult:
-    """sFFT-2.0 Comb pre-filter: screening quality and vote reduction."""
-    rows = []
-    W = max(256, n >> 6)
-    for k in ks:
-        sig = make_sparse_signal(n, k, seed=seed + k)
-        mask = comb_approved_residues(sig.time, W, k, seed=seed)
-        true_kept = bool(mask[sig.locations % W].all())
-        plan = make_plan(n, k, seed=seed + 1, **paper_kwargs(k))
-        res = sfft(sig.time, plan=plan, comb_width=W, seed=seed)
-        exact = set(res.locations.tolist()) == set(sig.locations.tolist())
-        rows.append(
-            (
-                k,
-                W,
-                f"{mask.mean():.3f}",
-                "yes" if true_kept else "NO",
-                "yes" if exact else "NO",
-            )
-        )
-    return ExperimentResult(
-        experiment_id="ext-comb",
-        title=f"Comb pre-filter screening (n=2^{ilog2(n)})",
-        headers=("k", "W", "approved fraction", "support kept", "exact recovery"),
-        rows=tuple(rows),
-        notes=(
-            "extension: the approved fraction bounds the voting work kept — "
-            "location recovery with the comb screen touches only that "
-            "fraction of candidates (sFFT 2.0's heuristic)",
         ),
     )
 

@@ -16,7 +16,6 @@ from .ablations import (
 )
 from .base import ExperimentResult, ExperimentSpec
 from .extensions import (
-    run_ext_comb,
     run_ext_exact,
     run_ext_devices,
     run_ext_ldg,
@@ -117,11 +116,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "ext-noise", "Noise robustness", "Section VI (accuracy)",
             "Extension: functional recall and L1 error vs input SNR.",
             run_ext_noise,
-        ),
-        ExperimentSpec(
-            "ext-comb", "sFFT 2.0 Comb pre-filter", "Section II-C / ref [3]",
-            "Extension: residue screening quality and vote reduction.",
-            run_ext_comb,
         ),
         ExperimentSpec(
             "ext-ldg", "Read-only cache gathers", "Section II-A (unused)",

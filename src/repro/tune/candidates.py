@@ -6,7 +6,6 @@ point plus the worker count:
 * ``B_scale`` — bucket count relative to the derived default (powers of
   two only, so every candidate ``B`` still divides ``n``);
 * ``loops`` — the location/estimation loop count ``L``;
-* ``comb_width`` — the sFFT-2.0 Comb pre-filter, on (a width) or off;
 * ``workers`` — the sharded-executor width (batch classes only; a single
   transform has no stack to shard).
 
@@ -69,7 +68,6 @@ class Candidate:
 
     B_scale: float = 1.0
     loops: int | None = None
-    comb_width: int | None = None
     workers: int = 1
 
     @property
@@ -99,7 +97,6 @@ class Candidate:
         return {
             "B_scale": float(self.B_scale),
             "loops": self.loops,
-            "comb_width": self.comb_width,
             "workers": int(self.workers),
         }
 
@@ -112,8 +109,6 @@ class Candidate:
             parts.append(f"B*{self.B_scale:g}")
         if self.loops is not None:
             parts.append(f"L={self.loops}")
-        if self.comb_width is not None:
-            parts.append(f"comb={self.comb_width}")
         if self.workers > 1:
             parts.append(f"workers={self.workers}")
         return "+".join(parts) or "default"
@@ -148,11 +143,6 @@ def generate_candidates(
     # The known-good combination (economy loops + economy buckets).
     if default_loops != 6:
         cands.append(Candidate(B_scale=0.5, loops=6))
-
-    # Comb pre-filter axis: on, at the classic ~8k residue classes.
-    comb = min(n // 2, next_power_of_two(max(2, 8 * k)))
-    if comb >= 2:
-        cands.append(Candidate(comb_width=comb))
 
     if wc.batch_size > 1:
         # The worker axis only makes sense with a stack to shard.

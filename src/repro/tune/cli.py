@@ -73,9 +73,9 @@ def _class_arg(text: str) -> WorkloadClass:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro tune",
-        description="Measured auto-tuner: search candidate (B, L, Comb, "
-                    "backend, executor) configurations per workload class "
-                    "and persist statistically real winners as wisdom.",
+        description="Measured auto-tuner: search candidate (B, L, "
+                    "workers) configurations per workload class and "
+                    "persist statistically real winners as wisdom.",
     )
     parser.add_argument("--class", dest="classes", action="append",
                         type=_class_arg, metavar="NLOG2:K[:NOISE[:BATCH]]",

@@ -139,7 +139,7 @@ def _build_runner(
         x = xs[0]
 
         def run() -> Any:
-            return [sfft(x, plan=plan, comb_width=cand.comb_width)]
+            return [sfft(x, plan=plan)]
 
         return run
 
@@ -148,9 +148,7 @@ def _build_runner(
     executor = cand.workers if cand.workers > 1 else None
 
     def run() -> Any:
-        return sfft_batch(
-            stack, plan=plan, executor=executor, comb_width=cand.comb_width,
-        )
+        return sfft_batch(stack, plan=plan, executor=executor)
 
     return run
 
@@ -175,9 +173,7 @@ def measure_candidate(
     )
     if wc.batch_size == 1 and len(xs) > 1:
         exact = exact and all(
-            set(int(f) for f in
-                sfft(x, plan=plan, comb_width=cand.comb_width).locations)
-            == truth
+            set(int(f) for f in sfft(x, plan=plan).locations) == truth
             for x, truth in zip(xs[1:], truths[1:])
         )
 

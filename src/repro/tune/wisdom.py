@@ -2,7 +2,7 @@
 
 FFTW calls its measured plans *wisdom*; this module is the sFFT analogue.
 A wisdom record says: "for workload class ``n=16384|k=8|noise=exact|batch=1``,
-the measured winner is this ``(B, L, Comb, workers)`` tuple" — and
+the measured winner is this ``(B, L, workers)`` tuple" — and
 carries enough provenance (trial statistics, a plan fingerprint, a
 per-class version) that consumers can tell a fresh entry from a stale one.
 
@@ -61,7 +61,7 @@ _REQUIRED_KEYS = ("schema", "version", "class", "config", "resolved",
                   "fingerprint")
 
 #: The searchable configuration axes (see ``repro.tune.candidates``).
-_CONFIG_KEYS = frozenset({"B_scale", "loops", "comb_width", "workers"})
+_CONFIG_KEYS = frozenset({"B_scale", "loops", "workers"})
 
 
 def class_key(n: int, k: int, noise_class: str = "exact",
@@ -119,10 +119,9 @@ def _check_config(config: Any, problems: list[str]) -> None:
     if not (isinstance(scale, (int, float)) and not isinstance(scale, bool)
             and scale > 0):
         problems.append("config.B_scale must be a positive number")
-    for key in ("loops", "comb_width"):
-        val = config.get(key)
-        if val is not None and not (_is_int(val) and val >= 1):
-            problems.append(f"config.{key} must be null or an int >= 1")
+    loops = config.get("loops")
+    if loops is not None and not (_is_int(loops) and loops >= 1):
+        problems.append("config.loops must be null or an int >= 1")
     workers = config.get("workers", 1)
     if not (_is_int(workers) and workers >= 1):
         problems.append("config.workers must be an int >= 1")

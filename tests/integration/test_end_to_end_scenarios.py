@@ -52,21 +52,14 @@ class TestCrossImplementationAgreement:
 
 
 class TestNoisyOfdmScenario:
-    """Spectrum sensing under noise with the optimized feature set:
-    Comb screen + fast profile."""
+    """Spectrum sensing under noise with the fast filter profile."""
 
     def test_detection_pipeline(self):
         scene = make_wideband_channels(
             1 << 16, 32, 0.25, tones_per_channel=3, snr=30.0, seed=21
         )
         k = scene.signal.k
-        res = sfft(
-            scene.signal.time,
-            k,
-            seed=22,
-            comb_width=1 << 10,
-            profile="fast",
-        )
+        res = sfft(scene.signal.time, k, seed=22, profile="fast")
         rep = score_result(res, scene.signal.locations, scene.signal.values)
         assert rep.recall >= 0.95
 

@@ -1,6 +1,6 @@
 """Feature-matrix test: exact recovery must hold across the cross product of
-user-facing options — windows, profiles, cutoffs, Comb screening, and loop
-splits.  A release-blocking grid.
+user-facing options — windows, profiles, cutoffs, and loop splits.  A
+release-blocking grid.
 
 The CPU pipeline always selects top-k; the fast k-selection cutoff
 (Algorithm 6) lives in the GPU model, so the ``threshold`` cells run the
@@ -46,11 +46,10 @@ def test_recovery_across_option_grid(signal, window, profile, cutoff):
         assert abs(v - truth) < tol * abs(truth)
 
 
-@pytest.mark.parametrize("comb_width", [None, 256, 1024])
 @pytest.mark.parametrize("loc_loops", [None, 3])
-def test_recovery_with_screening_and_splits(signal, comb_width, loc_loops):
+def test_recovery_with_loop_splits(signal, loc_loops):
     plan = make_plan(N, K, seed=13, loops=6, loc_loops=loc_loops)
-    res = sfft(signal.time, plan=plan, comb_width=comb_width, seed=14)
+    res = sfft(signal.time, plan=plan)
     assert set(res.locations.tolist()) == set(signal.locations.tolist())
 
 

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro import make_sparse_signal, sfft
+from repro.core import STEP_NAMES
 from repro.experiments import run_experiment
 from repro.gpu import CusFFT
 from repro.obs import MetricsRegistry, Tracer, validate_run_record
@@ -47,10 +48,10 @@ def test_step_times_is_view_over_trace(signal):
     assert res.step_times == pytest.approx(sums)
 
 
-def test_comb_step_is_timed(signal):
-    res = sfft(signal.time, K, seed=1, tracer=Tracer(), comb_width=64)
-    assert "comb" in res.step_times
-    assert res.step_times["comb"] > 0
+def test_step_times_name_exactly_the_pipeline_steps(signal):
+    res = sfft(signal.time, K, seed=1, tracer=Tracer())
+    assert tuple(res.step_times) == STEP_NAMES
+    assert all(t > 0 for t in res.step_times.values())
 
 
 def test_chrome_trace_one_tid_per_stream(signal):

@@ -101,30 +101,3 @@ def test_executor_matches_solo_driver(logn, k, S, seed, workers, mode):
         np.testing.assert_allclose(
             sharded[s].values, solo.values, rtol=1e-12, atol=1e-12,
         )
-
-
-@given(
-    S=st.integers(min_value=1, max_value=4),
-    seed=st.integers(min_value=0, max_value=2**16),
-    workers=st.sampled_from([1, 2, 4]),
-    mode=st.sampled_from(["thread", "process"]),
-)
-@settings(max_examples=8, deadline=None)
-def test_executor_bit_identical_with_comb(S, seed, workers, mode):
-    # Comb masks are Generator-seeded and data-dependent; the executor
-    # builds them serially in stack order (process mode ships them to
-    # workers through the shared data segment), so an integer seed must
-    # yield the exact serial-engine masks regardless of sharding or mode.
-    n, k = 2048, 4
-    plan = cached_plan(n, k)
-    X = _stack(n, k, S, seed)
-    kwargs = dict(comb_width=n >> 4, seed=seed)
-    serial = sfft_batch_fused(X, plan, **kwargs)
-    sharded = ShardedExecutor(workers=workers, shard_size=1, mode=mode).run(
-        X, plan, **kwargs
-    )
-    for s in range(S):
-        np.testing.assert_array_equal(sharded[s].locations,
-                                      serial[s].locations)
-        np.testing.assert_array_equal(sharded[s].values, serial[s].values)
-        np.testing.assert_array_equal(sharded[s].votes, serial[s].votes)

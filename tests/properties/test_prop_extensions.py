@@ -1,5 +1,5 @@
 """Property-based tests for the extension layers: Thrust primitives, cuFFT
-plans, the Comb screen, and the SIMT interpreter."""
+plans, and the SIMT interpreter."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from repro.cufft import CufftPlan
 from repro.cusim import KEPLER_K20X, simt_run, sort_by_key
-from repro.core.comb import comb_approved_residues
-from repro.signals import make_sparse_signal
 
 DEV = KEPLER_K20X
 
@@ -47,22 +45,6 @@ def test_cufft_batched_matches_rowwise(logn_pow, batch, seed):
         assert np.allclose(out[r], np.fft.fft(data[r]))
     # Inverse round-trips.
     assert np.allclose(plan.inverse(out), data, atol=1e-9)
-
-
-@given(
-    st.integers(min_value=10, max_value=14).map(lambda p: 1 << p),
-    st.integers(min_value=1, max_value=12),
-    st.integers(min_value=0, max_value=2**31),
-)
-@settings(max_examples=20, deadline=None)
-def test_comb_always_keeps_true_support(n, k, seed):
-    sig = make_sparse_signal(n, k, seed=seed)
-    W = max(64, n >> 5)
-    mask = comb_approved_residues(sig.time, W, k, seed=seed ^ 0x5A5A)
-    assert mask[sig.locations % W].all()
-    # And it actually screens: most classes rejected when k << W.
-    if k * 8 < W:
-        assert mask.mean() < 0.5
 
 
 @given(

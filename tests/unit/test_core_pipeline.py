@@ -236,14 +236,11 @@ class TestRecovery:
             candidate_frequencies(np.array([99]), perm, 8)
 
 
-def _oracle_votes(selected, perms, B, threshold, residue_filter=None):
+def _oracle_votes(selected, perms, B, threshold):
     """Per-loop candidate dedupe: the formulation bucket dedupe replaces."""
     acc = VoteAccumulator(perms[0].n)
     for sel, perm in zip(selected, perms):
-        cands = candidate_frequencies(sel, perm, B)
-        if residue_filter is not None:
-            cands = cands[residue_filter[cands % residue_filter.size]]
-        acc.add_loop_votes(cands)
+        acc.add_loop_votes(candidate_frequencies(sel, perm, B))
     hits = acc.hits(threshold)
     return hits, acc.scores[hits].astype(np.int64)
 
@@ -268,25 +265,25 @@ class TestVotingOracle:
 
     @pytest.mark.parametrize("n, B", [(1024, 32), (768, 24)],
                              ids=["pow2", "non-pow2"])
-    @pytest.mark.parametrize("comb", [False, True], ids=["plain", "comb"])
-    def test_matches_per_loop_candidate_dedupe(self, n, B, comb):
-        rng = np.random.default_rng(n + B + comb)
+    @pytest.mark.parametrize("reuse", [False, True],
+                             ids=["plain", "scores_out"])
+    def test_matches_per_loop_candidate_dedupe(self, n, B, reuse):
+        rng = np.random.default_rng(n + B)
         S = 3
         perms = [random_permutation(n, rng) for _ in range(self.LOOPS)]
         selected = [self._selected(rng, B, self.LOOPS) for _ in range(S)]
-        masks = rng.random((S, 16)) < 0.6 if comb else None
+        # A reused score buffer arrives dirty and must be zeroed first.
+        scores = np.full(S * n, 7, dtype=np.int16) if reuse else None
         stack_hits, stack_votes = recover_locations_stack(
-            selected, perms, B, 2, residue_filters=masks
+            selected, perms, B, 2, scores_out=scores
         )
         for s in range(S):
-            mask = None if masks is None else masks[s]
-            want_hits, want_votes = _oracle_votes(
-                selected[s], perms, B, 2, residue_filter=mask
-            )
+            want_hits, want_votes = _oracle_votes(selected[s], perms, B, 2)
             assert want_hits.size > 0
             assert want_votes.max() > 1
             hits, votes = recover_locations(
-                selected[s], perms, B, 2, residue_filter=mask
+                selected[s], perms, B, 2,
+                scores_out=np.full(n, 7, dtype=np.int16) if reuse else None,
             )
             np.testing.assert_array_equal(hits, want_hits)
             np.testing.assert_array_equal(votes, want_votes)

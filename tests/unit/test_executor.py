@@ -49,15 +49,6 @@ def test_bit_identical_to_serial_fused(stack, plan):
         _assert_identical(ex.run(stack, plan), serial)
 
 
-def test_bit_identical_with_comb_masks(stack, plan):
-    kwargs = dict(comb_width=_N >> 4, seed=9)
-    serial = sfft_batch_fused(stack, plan, **kwargs)
-    got = ShardedExecutor(workers=2, shard_size=2).run(
-        stack, plan, **kwargs
-    )
-    _assert_identical(got, serial)
-
-
 def test_shard_bounds_cover_and_partition(plan):
     ex = ShardedExecutor(workers=4)
     bounds = ex.shard_bounds(10)
@@ -127,14 +118,12 @@ def test_overlap_ratio_clamped_for_one_worker(stack, plan):
 
 def test_spans_land_on_worker_tracks(stack, plan):
     tracer = Tracer()
-    ShardedExecutor(workers=2, shard_size=2).run(
-        stack, plan, tracer=tracer, comb_width=_N >> 4, seed=3,
-    )
+    ShardedExecutor(workers=2, shard_size=2).run(stack, plan, tracer=tracer)
     tracks = {sp.track for sp in tracer.spans}
     workers_seen = {t for t in tracks if t.startswith("worker")}
     assert workers_seen  # at least one worker track
     assert workers_seen <= {"worker0", "worker1"}
-    assert EXECUTOR_TRACK in tracks  # the serial comb span
+    assert EXECUTOR_TRACK in tracks  # the executor.run root span
 
     shard_totals = [sp for sp in tracer.spans
                     if sp.name.startswith("shard")

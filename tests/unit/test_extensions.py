@@ -1,13 +1,10 @@
-"""Unit tests for the extension features: Comb pre-filter, transform
-variants (inverse / real / batch), autotuning, additional device models."""
+"""Unit tests for the extension features: transform variants (inverse /
+real / batch), autotuning, additional device models."""
 
 import numpy as np
 import pytest
 
 from repro import isfft, make_plan, rsfft, sfft, sfft_batch
-from repro.core.comb import comb_approved_residues, comb_spectrum
-from repro.core.recovery import recover_locations
-from repro.core.permutation import random_permutation
 from repro.cpu import CPU_DEVICES, SANDY_BRIDGE_E5_2640, XEON_PHI_5110P, PsFFT
 from repro.cusim import GPU_DEVICES, KEPLER_K20X, KEPLER_K40, MAXWELL_M40
 from repro.errors import ParameterError
@@ -15,76 +12,6 @@ from repro.gpu import CusFFT, OPTIMIZED
 from repro.obs import Tracer
 from repro.signals import make_sparse_signal
 from repro.tuning import candidate_bucket_counts, tune_parameters
-
-
-class TestCombSpectrum:
-    def test_aliases_residue_classes(self):
-        # A single tone at frequency f shows up in class f mod W.
-        n, W, f = 1 << 12, 64, 777
-        t = np.arange(n)
-        x = np.exp(2j * np.pi * f * t / n)
-        z = np.abs(comb_spectrum(x, W, tau=0))
-        assert int(np.argmax(z)) == f % W
-
-    def test_aliasing_sums_coefficients(self):
-        # Two tones in the same class can cancel for specific tau...
-        n, W = 1 << 10, 32
-        t = np.arange(n)
-        x = np.exp(2j * np.pi * 5 * t / n) + np.exp(2j * np.pi * (5 + W) * t / n)
-        z0 = np.abs(comb_spectrum(x, W, tau=0))
-        assert int(np.argmax(z0)) == 5
-
-    def test_invalid_W(self):
-        x = np.zeros(64, complex)
-        with pytest.raises(ParameterError):
-            comb_spectrum(x, 48, 0)   # not a power of two
-        with pytest.raises(ParameterError):
-            comb_spectrum(x, 128, 0)  # larger than n
-        with pytest.raises(ParameterError):
-            comb_spectrum(x, 32, 64)  # tau out of range
-
-
-class TestCombApproval:
-    def test_true_support_always_approved(self):
-        for seed in range(5):
-            sig = make_sparse_signal(1 << 14, 12, seed=seed)
-            mask = comb_approved_residues(sig.time, 512, 12, seed=seed + 50)
-            assert mask[sig.locations % 512].all()
-
-    def test_most_classes_rejected(self):
-        sig = make_sparse_signal(1 << 14, 12, seed=9)
-        mask = comb_approved_residues(sig.time, 1024, 12, seed=10)
-        assert mask.mean() < 0.25
-
-    def test_sfft_with_comb_exact(self):
-        sig = make_sparse_signal(1 << 14, 16, seed=11)
-        res = sfft(sig.time, 16, seed=12, comb_width=512)
-        assert set(res.locations.tolist()) == set(sig.locations.tolist())
-
-    def test_residue_filter_blocks_unapproved(self):
-        n, B = 256, 16
-        rng = np.random.default_rng(13)
-        perm = random_permutation(n, rng)
-        # Forbid everything: no hits can survive.
-        mask = np.zeros(8, dtype=bool)
-        hits, _ = recover_locations(
-            [np.arange(B)], [perm], B, 1, residue_filter=mask
-        )
-        assert hits.size == 0
-
-    def test_bad_filter_shape(self):
-        n, B = 256, 16
-        perm = random_permutation(n, np.random.default_rng(1))
-        with pytest.raises(ParameterError):
-            recover_locations(
-                [np.arange(B)], [perm], B, 1,
-                residue_filter=np.zeros((2, 2), dtype=bool),
-            )
-
-    def test_vote_threshold_validated(self):
-        sig = make_sparse_signal(1 << 10, 4, seed=1)
-        with pytest.raises(ParameterError):
-            comb_approved_residues(sig.time, 64, 4, loops=2, vote_threshold=3)
 
 
 class TestInverseTransform:

@@ -18,6 +18,7 @@ from repro.core.params import (
     resolve_sfft_config,
 )
 from repro.core.parameters import derive_parameters
+from repro.errors import ParameterError
 from repro.obs import MetricsRegistry, global_registry
 from repro.signals import make_sparse_signal
 from repro.tune import (
@@ -74,14 +75,16 @@ class TestPrecedence:
         assert resolved.source == "explicit"
         assert resolved.overrides == {"loops": 5}
 
-    def test_explicit_comb_width_alone_pins_the_config(self, tmp_path,
-                                                       monkeypatch):
+    def test_comb_width_other_than_none_is_rejected(self, tmp_path,
+                                                     monkeypatch):
+        # The Comb pre-filter is gone; the keyword survives for callers
+        # that pass None, and anything else fails before the wisdom leg.
         store = tmp_path / "W.json"
         write_wisdom(store, loops=6)
         monkeypatch.setenv(ENV_WISDOM, str(store))
-        resolved = resolve_sfft_config(N, K, comb_width=64)
-        assert resolved.source == "explicit"
-        assert resolved.comb_width == 64 and resolved.overrides == {}
+        assert resolve_sfft_config(N, K, comb_width=None).source == "wisdom"
+        with pytest.raises(ParameterError, match="comb_width"):
+            resolve_sfft_config(N, K, comb_width=64)
 
     def test_wisdom_beats_defaults(self, tmp_path, monkeypatch):
         store = tmp_path / "W.json"
@@ -176,7 +179,7 @@ class TestTransformConsumption:
 
         monkeypatch.delenv(ENV_WISDOM)
         plan = make_plan(N, K, seed=3, **record["resolved"])
-        explicit = sfft_batch(stack, plan=plan, seed=3)
+        explicit = sfft_batch(stack, plan=plan)
 
         for a, b in zip(tuned, explicit):
             assert np.array_equal(a.locations, b.locations)

@@ -129,16 +129,17 @@ class TestSfftDriverOptions:
             np.testing.assert_array_equal(got.locations, want.locations)
             np.testing.assert_array_equal(got.values, want.values)
 
-    @pytest.mark.parametrize("key,value", [("no_such", 1), ("strict", True)])
+    @pytest.mark.parametrize("key,value", [("no_such", 1), ("strict", True),
+                                           ("comb_width", 64)])
     @pytest.mark.parametrize("with_plan", [False, True],
                              ids=["planless", "plan"])
     @pytest.mark.parametrize("entry", [sfft, sfft_batch],
                              ids=["sfft", "sfft_batch"])
     def test_unknown_option_is_a_parameter_error(self, entry, with_plan,
                                                  key, value):
-        # Any key that is not a derivation override (``strict`` among
-        # them) is named as unknown on both paths, before any plan-cache
-        # traffic.
+        # Any key that is not a derivation override (``strict`` and the
+        # removed Comb's ``comb_width`` among them) is named as unknown on
+        # both paths, before any plan-cache traffic.
         sig = make_sparse_signal(1024, 4, seed=34)
         x = sig.time if entry is sfft else np.stack([sig.time, sig.time])
         plan = make_plan(1024, 4, seed=35) if with_plan else None
@@ -151,6 +152,29 @@ class TestSfftDriverOptions:
             else:
                 entry(x, 4, seed=36, **{key: value})
         assert (cache.hits, cache.misses) == traffic
+
+    @pytest.mark.parametrize("entry", [sfft, sfft_batch],
+                             ids=["sfft", "sfft_batch"])
+    def test_explicit_plan_rejects_a_seed(self, entry):
+        # The plan has drawn its permutations; a seed would seed nothing.
+        sig = make_sparse_signal(1024, 4, seed=34)
+        x = sig.time if entry is sfft else np.stack([sig.time, sig.time])
+        plan = make_plan(1024, 4, seed=35)
+        with pytest.raises(ParameterError, match="seed"):
+            entry(x, plan=plan, seed=3)
+
+    @pytest.mark.parametrize("entry", [sfft, sfft_batch],
+                             ids=["sfft", "sfft_batch"])
+    def test_explicit_plan_rejects_a_different_k(self, entry):
+        # The plan's k bounds the output; a smaller k would be ignored.
+        sig = make_sparse_signal(1024, 8, seed=34)
+        x = sig.time if entry is sfft else np.stack([sig.time, sig.time])
+        plan = make_plan(1024, 8, seed=35)
+        with pytest.raises(ParameterError, match=r"k=3 differs.*k=8"):
+            entry(x, 3, plan=plan)
+        out = entry(x, 8, plan=plan)
+        for res in out if entry is sfft_batch else [out]:
+            assert res.k_found <= 8
 
 
 class TestSparseFFTResult:

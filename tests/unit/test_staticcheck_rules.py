@@ -176,7 +176,7 @@ class TestTelemetryThreadSafety:
 class TestSpanOrphan:
     def test_trackless_add_span_is_flagged(self):
         findings = _lint(
-            'tracer.add_span("comb", start_s=0.0, duration_s=w, '
+            'tracer.add_span("shard0", start_s=0.0, duration_s=w, '
             'category="sfft")\n'
         )
         assert _rules(findings) == ["span-orphan"]
@@ -184,12 +184,12 @@ class TestSpanOrphan:
 
     def test_tracked_add_span_is_clean(self):
         assert _lint(
-            'tracer.add_span("comb", start_s=0.0, duration_s=w, '
+            'tracer.add_span("shard0", start_s=0.0, duration_s=w, '
             'category="sfft", track=EXECUTOR_TRACK)\n'
         ) == []
 
     def test_kwargs_splat_is_not_guessed_at(self):
-        assert _lint('tracer.add_span("comb", **span_kwargs)\n') == []
+        assert _lint('tracer.add_span("shard0", **span_kwargs)\n') == []
 
     def test_obs_modules_are_exempt(self):
         assert _lint('replay.add_span("x", start_s=0.0, duration_s=1.0)\n',

@@ -68,9 +68,8 @@ class TestCandidate:
         assert candidate_from_config(cand.config()) == cand
 
     def test_labels_name_every_axis(self):
-        label = Candidate(B_scale=0.5, loops=6, comb_width=64,
-                          workers=2).label()
-        for bit in ("B*0.5", "L=6", "comb=64", "workers=2"):
+        label = Candidate(B_scale=0.5, loops=6, workers=2).label()
+        for bit in ("B*0.5", "L=6", "workers=2"):
             assert bit in label
 
 
