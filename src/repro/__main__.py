@@ -23,11 +23,7 @@ Observability flags:
 * ``--executor-mode thread|process`` — pick the executor's execution
   mode for the batch leg: ``thread`` (default) or ``process``, the
   shared-memory process pool that scales Python-level stage work past
-  the GIL (see ``docs/parallelism.md``);
-* ``--fft-backend NAME`` — select the process-wide FFT backend
-  (``numpy``/``scipy``/``pyfftw``; see :mod:`repro.core.fft_backend`).
-  The *resolved* backend (after optional-dependency fallback) is echoed
-  in text output and in the ``repro.run/1`` record's params.
+  the GIL (see ``docs/parallelism.md``).
 
 ``python -m repro report`` is the terminal dashboard over the committed
 performance artifacts: trajectory sparklines per experiment
@@ -117,13 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "'thread' (GIL-bound pool) or 'process' "
                              "(shared-memory process pool; default: "
                              "$REPRO_EXECUTOR_MODE or thread)")
-    from .core.fft_backend import registered_backends
-
-    parser.add_argument("--fft-backend", metavar="NAME", default=None,
-                        choices=registered_backends(),
-                        help="FFT backend for every dense FFT "
-                             f"({', '.join(registered_backends())}; "
-                             "default: $REPRO_FFT_BACKEND or numpy)")
     return parser
 
 
@@ -558,15 +547,6 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
 
-    from .core.fft_backend import default_backend_name, set_default_backend
-
-    # Resolve the FFT backend once for the whole process: the resolved name
-    # (after optional-dependency fallback) is what gets echoed everywhere.
-    if args.fft_backend is not None:
-        fft_backend = set_default_backend(args.fft_backend)
-    else:
-        fft_backend = default_backend_name()
-
     tracer = Tracer()
     metrics = MetricsRegistry()
 
@@ -640,8 +620,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         record = make_run_record(
             "repro-demo",
-            params={"n": n, "k": k, "n_log2": logn,
-                    "fft_backend": fft_backend, "workers": args.workers,
+            params={"n": n, "k": k, "n_log2": logn, "workers": args.workers,
                     "config_source": demo_resolved.source,
                     **({"wisdom_class": demo_resolved.class_key}
                        if demo_resolved.class_key is not None else {}),
@@ -674,7 +653,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if ok else 1
 
     print(f"repro: sparse FFT of an exactly {k}-sparse signal, n = 2^{logn}")
-    print(f"  fft backend: {fft_backend}")
     print(f"  config source: {demo_resolved.source}"
           + (f" ({demo_resolved.class_key})"
              if demo_resolved.class_key is not None else ""))

@@ -4,10 +4,12 @@ Each rule carries its rationale (tied to the architecture decision it
 protects); ``docs/static_analysis.md`` renders the same text.  Scoping is
 by path relative to the ``repro`` package root (posix separators):
 
-* ``fft-registry-bypass`` — every dense FFT must resolve through
-  :mod:`repro.core.fft_backend` (the PR-4 vendor seam).  A direct
-  ``numpy.fft``/``scipy.fft``/``pyfftw`` transform call silently ignores
-  the configured backend.  Exempt: ``core/fft_backend.py`` itself.
+* ``fft-registry-bypass`` — every dense FFT must go through the one FFT
+  seam, :func:`repro.core.fft_backend.get_backend` (the CPU analog of the
+  paper's cuFFT/FFTW vendor call).  A direct ``numpy.fft``/``scipy.fft``/
+  ``pyfftw`` transform call is a second vendor the seam cannot see or
+  swap.  Exempt: ``core/fft_backend.py`` itself.  (The id predates the
+  seam's reduction to one FFT; it stays so suppressions keep matching.)
 * ``metric-name-family`` — metric name literals must belong to the
   registered ``sfft.*`` / ``cusim.*`` families (the PR-1 naming contract
   that keeps cross-backend dashboards aligned).
@@ -42,10 +44,10 @@ by path relative to the ``repro`` package root (posix separators):
 * ``env-read-outside-seam`` — process environment reads
   (``os.environ`` / ``os.getenv``) are configuration seams, and the repo
   keeps them enumerable: parameter resolution (``core/params.py``), the
-  FFT backend default (``core/fft_backend.py``), the executor's mode and
-  fault-injection knobs (``core/executor.py``), and the CLI
-  (``__main__.py``).  An env read anywhere else creates ambient config
-  the wisdom store, the docs, and the reproducibility story cannot see.
+  executor's mode and fault-injection knobs (``core/executor.py``), and
+  the CLI (``__main__.py``).  An env read anywhere else creates ambient
+  config the wisdom store, the docs, and the reproducibility story cannot
+  see.
   Suppress (with a rationale comment) only for opt-in debug/test hooks
   such as the runtime contract-enforcement flag.
 * ``shm-lifecycle`` — ``multiprocessing.shared_memory`` segments are
@@ -83,10 +85,10 @@ RULES: dict[str, Rule] = {r.id: r for r in (
     Rule(
         "fft-registry-bypass", "error",
         "direct numpy.fft/scipy.fft/pyfftw transform call",
-        "Dense FFTs must dispatch through repro.core.fft_backend so the "
-        "vendor seam (numpy/scipy/pyfftw — the paper's cuFFT/FFTW swap) "
-        "stays a single point; a direct call ignores the configured "
-        "backend.",
+        "Dense FFTs must go through the one FFT seam, "
+        "repro.core.fft_backend.get_backend() — the CPU analog of the "
+        "paper's cuFFT/FFTW vendor call — so the vendor stays a single "
+        "point; a direct call is a second FFT the seam cannot swap.",
     ),
     Rule(
         "metric-name-family", "error",
@@ -144,8 +146,8 @@ RULES: dict[str, Rule] = {r.id: r for r in (
         "env-read-outside-seam", "error",
         "os.environ/os.getenv read outside a sanctioned config seam",
         "Environment reads are configuration inputs; the repo keeps them "
-        "enumerable at four seams (core/params.py, core/fft_backend.py, "
-        "core/executor.py, __main__.py) so every knob is discoverable "
+        "enumerable at three seams (core/params.py, core/executor.py, "
+        "__main__.py) so every knob is discoverable "
         "and reproducible.  Reads elsewhere create ambient configuration "
         "— thread the value through a parameter, or suppress with a "
         "rationale for deliberate opt-in hooks.",
@@ -209,8 +211,7 @@ _EXEMPT = {
     ),
     # The sanctioned configuration seams (see the rule's rationale).
     "env-read-outside-seam": (
-        "core/params.py", "core/fft_backend.py", "core/executor.py",
-        "__main__.py",
+        "core/params.py", "core/executor.py", "__main__.py",
     ),
 }
 #: wallclock-in-core only *applies* to these subtrees.
@@ -282,7 +283,7 @@ class _Visitor(ast.NodeVisitor):
                     "env-read-outside-seam", node,
                     f"import of {', '.join(bad)} from os — environment "
                     f"reads belong to the config seams (core/params.py, "
-                    f"core/fft_backend.py, core/executor.py, __main__.py)",
+                    f"core/executor.py, __main__.py)",
                 )
         if node.module and node.level == 0:
             root = node.module.split(".")[0]
@@ -294,8 +295,8 @@ class _Visitor(ast.NodeVisitor):
                     self._emit(
                         "fft-registry-bypass", node,
                         f"import of {', '.join(bad)} from "
-                        f"{node.module} bypasses the FFT backend "
-                        f"registry (repro.core.fft_backend)",
+                        f"{node.module} — route through the one FFT "
+                        f"seam, repro.core.fft_backend.get_backend()",
                     )
         self.generic_visit(node)
 
@@ -336,9 +337,8 @@ class _Visitor(ast.NodeVisitor):
         ):
             self._emit(
                 "fft-registry-bypass", node,
-                f"direct {'.'.join(chain)} call — route through "
-                f"repro.core.fft_backend.get_backend() (or "
-                f"bucket_fft) so the backend stays swappable",
+                f"direct {'.'.join(chain)} call — route through the "
+                f"one FFT seam, repro.core.fft_backend.get_backend()",
             )
 
     def _check_metric(self, node: ast.Call, chain: list[str]) -> None:
@@ -504,8 +504,8 @@ class _Visitor(ast.NodeVisitor):
             self._emit(
                 "env-read-outside-seam", node,
                 f"{'.'.join(chain)} read outside a sanctioned config seam "
-                f"(core/params.py, core/fft_backend.py, core/executor.py, "
-                f"__main__.py) — thread the value through a parameter, or "
+                f"(core/params.py, core/executor.py, __main__.py) — "
+                f"thread the value through a parameter, or "
                 f"suppress with a rationale for a deliberate opt-in hook",
             )
         if node.attr in _TELEMETRY_INTERNALS:

@@ -3,13 +3,7 @@
 from .batch import sfft_batch_fused
 from .binning import bin_loop_partition, bin_serial, bin_vectorized
 from .executor import EXECUTOR_MODES, ShardedExecutor
-from .fft_backend import (
-    available_backends,
-    get_backend,
-    register_backend,
-    registered_backends,
-    set_default_backend,
-)
+from .fft_backend import get_backend
 from .cutoff import (
     cutoff,
     cutoff_rows,
@@ -110,11 +104,7 @@ __all__ = [
     "EXECUTOR_MODES",
     "SegmentBundle",
     "SharedArraySpec",
-    "available_backends",
     "get_backend",
-    "register_backend",
-    "registered_backends",
-    "set_default_backend",
     "GATHER_ELEMENT_CAP",
     "PlanWorkspace",
 ]

@@ -18,7 +18,7 @@ __all__ = ["dense_fft", "dense_topk", "reconstruct_time"]
 def dense_fft(x) -> np.ndarray:
     """Full forward DFT (the ``O(n log n)`` baseline the paper beats)."""
     # Ground-truth reference is pinned to numpy on purpose: correctness
-    # oracles must not move when the production backend is swapped.
+    # oracles must not move when the production FFT seam is swapped.
     return np.fft.fft(as_complex_signal(x))  # reprolint: ignore[fft-registry-bypass]
 
 

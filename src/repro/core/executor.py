@@ -31,7 +31,7 @@ Correctness is structural, not approximate: every pipeline stage is
 per-signal independent (the property suite asserts it), so running rows
 ``[lo:hi]`` as a shard is *bit-identical* to the same rows of one
 whole-stack :func:`~repro.core.batch.sfft_batch_fused` pass, for every
-mode, worker count, shard size, and FFT backend.
+mode, worker count and shard size.
 
 Concurrency hygiene mirrors the GPU resource model:
 
@@ -39,10 +39,7 @@ Concurrency hygiene mirrors the GPU resource model:
   <repro.core.workspace.PlanWorkspace.clone>`; each process worker builds
   the same split from shared memory (:meth:`PlanWorkspace.adopt_shared`)
   — shared immutable gather / tap matrices, per-worker scratch — the CPU
-  analog of per-stream device buffers;
-* the bucket FFT resolves the process-default backend
-  (:mod:`repro.core.fft_backend`); process workers bind the backend the
-  parent resolves, so every mode runs the same FFT.
+  analog of per-stream device buffers.
 
 Observability: each shard's stage spans land on its worker's trace track
 (``worker0``, ``worker1``, ... — mirroring the simulator's per-stream

@@ -1,12 +1,15 @@
 """Process-level LRU plan cache — FFTW-wisdom economics for `sfft(x, k)`.
 
-Plan synthesis is the expensive half of the transform (the flat-window
-filter costs an ``O(n log n)`` FFT); execution is sub-linear.  The
-convenience form ``sfft(x, k)`` historically paid synthesis on *every*
-call.  This cache amortizes it: plans are keyed by the **resolved**
-parameter set plus the seed, so two spellings of the same configuration
-(``loops=6`` vs. a ``profile`` that derives ``loops=6``) share one entry,
-while distinct seeds or overrides never collide.
+Plan synthesis is the expensive half of the transform: the flat-window
+filter's ``w`` taps and their ``±2n/B`` response window cost
+``O((w + n/B) log(w + n/B))`` (a chirp-z transform of three FFTs about
+``w + 4n/B`` long; no length-``n`` FFT outside tiny ``n``); execution
+is sub-linear.  The convenience form ``sfft(x, k)`` historically paid
+synthesis on *every* call.  This cache amortizes it: plans are keyed by
+the **resolved** parameter set plus the seed, so two spellings of the
+same configuration (``loops=6`` vs. a ``profile`` that derives
+``loops=6``) share one entry, while distinct seeds or overrides never
+collide.
 
 Cache traffic is observable through the shared metrics registry
 (:func:`repro.obs.global_registry`):
@@ -34,13 +37,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import astuple
 
 import numpy as np
 
 from ..errors import ParameterError
 from ..utils.rng import RngLike
-from .fft_backend import default_backend_name
 from .parameters import SfftParameters, derive_parameters
 from .plan import SfftPlan, make_plan
 
@@ -70,24 +71,6 @@ class PlanCache:
         self.misses = 0
         self.evictions = 0
 
-    @staticmethod
-    def _key(
-        n: int, k: int, seed: RngLike, params: SfftParameters | None,
-        overrides: dict,
-    ) -> tuple | None:
-        """Resolved cache key, or ``None`` when the call is uncacheable.
-
-        The key includes the *resolved* default FFT backend name: filter
-        synthesis runs its FFTs through the backend, so a plan built under
-        one backend must not be served after the process switches to
-        another.
-        """
-        if isinstance(seed, np.random.Generator):
-            return None
-        if params is None:
-            params = derive_parameters(n, k, **overrides)
-        return (*astuple(params), seed, default_backend_name())
-
     def get_or_make(
         self,
         n: int,
@@ -100,19 +83,22 @@ class PlanCache:
         """Return the cached plan for this configuration, building on miss.
 
         Accepts exactly the :func:`~repro.core.plan.make_plan` signature.
-        Parameter resolution (cheap, closed-form) always runs so the key
-        reflects *resolved* overrides; filter synthesis (the expensive
-        part) runs only on a miss.
+        Parameter resolution (cheap, closed-form) runs once per call, so
+        the ``(params, seed)`` key reflects *resolved* overrides and a
+        miss hands the same ``params`` to the build; filter synthesis (the
+        expensive part) runs only on a miss.
         """
         from ..obs import global_registry
 
-        key = self._key(n, k, seed, params, overrides)
-        if key is None:
+        if params is None:
+            params = derive_parameters(n, k, **overrides)
+        if isinstance(seed, np.random.Generator):
             # Generator seeds are intentionally uncacheable; build fresh.
             global_registry().counter("sfft.plan_cache.miss").inc()
             self.misses += 1
             self._publish()
-            return make_plan(n, k, seed=seed, params=params, **overrides)
+            return make_plan(n, k, seed=seed, params=params)
+        key = (params, seed)
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -122,7 +108,7 @@ class PlanCache:
             global_registry().counter("sfft.plan_cache.hit").inc()
             self._publish()
             return plan
-        plan = make_plan(n, k, seed=seed, params=params, **overrides)
+        plan = make_plan(n, k, seed=seed, params=params)
         evicted = 0
         with self._lock:
             self._plans[key] = plan

@@ -150,8 +150,7 @@ def run_stack_pipeline(
         raw = ws.bin_fused(X[0]) if S == 1 \
             else ws.bin_fused_stack(X).reshape(S * L, B)
 
-    # Step 3: one (S*L, B) batched bucket FFT through the process-default
-    # FFT backend.
+    # Step 3: one (S*L, B) batched bucket FFT through the FFT seam.
     with stage("bucket_fft", B=B, batch=S * L):
         rows = ws.bucket_fft(raw).reshape(S, L, B)
 

@@ -65,7 +65,6 @@ import numpy as np
 
 from ..analysis.staticcheck.contracts import shape_contract
 from ..errors import ParameterError
-from .fft_backend import default_backend_name, set_default_backend
 
 __all__ = [
     "SharedArraySpec",
@@ -339,8 +338,7 @@ class PlanDescriptor:
     count) / optionally ``gather`` (absent above the workspace's gather
     cap — workers then regenerate rows on the fly, same as the thread
     path) to their shared locations.  ``token`` is the plan fingerprint
-    worker-side lease caching keys on.  ``fft_backend`` is the FFT backend
-    the parent process resolves; workers bind it before running shards.
+    worker-side lease caching keys on.
     """
 
     token: str
@@ -349,7 +347,6 @@ class PlanDescriptor:
     taus: tuple[int, ...]
     filter_meta: tuple
     arrays: dict[str, SharedArraySpec]
-    fft_backend: str
 
 
 def plan_fingerprint(plan) -> str:
@@ -410,7 +407,6 @@ def describe_plan(plan, specs: dict[str, SharedArraySpec]) -> PlanDescriptor:
             plan.filt.tolerance, plan.filt.box_width,
         ),
         arrays=arrays,
-        fft_backend=default_backend_name(),
     )
 
 
@@ -481,11 +477,7 @@ def worker_lease(desc: PlanDescriptor) -> WorkerLease:
     dict lookup; a miss attaches the plan segment, rebuilds the plan, and
     builds a workspace that adopts the shared gather/taps.  Old leases
     evict LRU at :data:`WORKER_PLAN_CACHE_CAP`, closing their mappings.
-    Either way the worker's process-default FFT backend is first bound to
-    the parent's (``desc.fft_backend``).
     """
-    if default_backend_name() != desc.fft_backend:
-        set_default_backend(desc.fft_backend)
     lease = _WORKER_LEASES.get(desc.token)
     if lease is not None:
         _WORKER_LEASES.move_to_end(desc.token)

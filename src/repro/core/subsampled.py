@@ -4,8 +4,8 @@ After folding, a single ``B``-point FFT turns the time-domain buckets into
 frequency-domain buckets.  Because all ``L`` loops transform the same size
 ``B``, the GPU implementation batches them into one cuFFT call (shared
 twiddle factors); the CPU path mirrors that with one vectorized call over a
-``(L, B)`` array, routed through the pluggable backend registry
-(:mod:`repro.core.fft_backend`) so the vendor FFT is swappable exactly as
+``(L, B)`` array, routed through the one FFT seam
+(:func:`repro.core.fft_backend.get_backend`), where the vendor is fixed as
 cuFFT/FFTW are in the paper's builds.
 
 The *fold-subsample identity* (tested) is what makes this legitimate:
@@ -27,9 +27,8 @@ __all__ = ["bucket_fft", "subsample_spectrum"]
 def bucket_fft(buckets: np.ndarray) -> np.ndarray:
     """FFT the buckets of one loop (1-D) or all loops batched (2-D, last axis).
 
-    Matches the batched-cuFFT call of the paper's step 3, through the
-    process-default FFT backend (see
-    :func:`repro.core.fft_backend.get_backend`).
+    Matches the batched-cuFFT call of the paper's step 3, through
+    :func:`repro.core.fft_backend.get_backend`.
     """
     b = np.asarray(buckets, dtype=np.complex128)
     if b.ndim not in (1, 2):

@@ -57,8 +57,8 @@ def rsfft(x, k: int | None = None, **kwargs) -> SparseFFTResult:
     mirror was missed donates its conjugate, so the output support is
     always symmetric and ``ifft`` of the dense form is exactly real.
     """
-    arr = np.asarray(x)
-    if np.iscomplexobj(arr) and np.abs(arr.imag).max() > 0:
+    arr = as_complex_signal(x)
+    if np.abs(arr.imag).max() > 0:
         raise ParameterError("rsfft expects a real signal")
     res = sfft(arr.real, k, **kwargs)
     n = res.n
@@ -119,10 +119,8 @@ def sfft_batch(
     whatever ``REPRO_EXECUTOR_MODE`` says; construct the executor
     explicitly for ``mode="process"``, the shared-memory process pool).
     Sharded results are bit-identical to the serial fused engine in every
-    mode.  The bucket FFT runs through the process-default backend
-    (:func:`repro.core.fft_backend.set_default_backend`).  Per-step timing
-    belongs to single calls (``sfft(x, tracer=...)``) or an executor's
-    ``tracer``.
+    mode.  Per-step timing belongs to single calls (``sfft(x, tracer=...)``)
+    or an executor's ``tracer``.
     """
     if isinstance(signals, np.ndarray):
         # Rows of a contiguous stack validate without copying; the fused

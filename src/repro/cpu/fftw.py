@@ -1,9 +1,8 @@
 """Simulated parallel FFTW (the paper's multicore CPU dense baseline).
 
-Functional execution resolves through the shared FFT backend registry
-(:mod:`repro.core.fft_backend`) — numerically the identical transform
-under every backend; with the ``scipy``/``pyfftw`` backends the plan's
-``threads`` become a real intra-call fan-out.
+Functional execution runs the package's one FFT
+(:func:`repro.core.fft_backend.get_backend`), numerically the transform
+FFTW computes; ``threads`` only enters the cost model.
 The cost model prices a planned, multithreaded FFTW execution on the
 Table II machine:
 
@@ -54,15 +53,12 @@ class FftwPlan:
     def execute(self, x) -> np.ndarray:
         """Run the transform (functional; numerically identical to FFTW).
 
-        Dispatches through :func:`repro.core.fft_backend.get_backend`, so
-        the process-wide backend selection (CLI flag / env var) applies to
-        the dense comparator exactly as it does to the bucket FFT.
+        Runs the same FFT as the bucket FFT,
+        :func:`repro.core.fft_backend.get_backend`.
         """
         from ..core.fft_backend import get_backend
 
-        return get_backend().fft(
-            as_complex_signal(x, self.n), axis=-1, workers=self.threads
-        )
+        return get_backend().fft(as_complex_signal(x, self.n))
 
     # -- cost ---------------------------------------------------------------
 

@@ -85,7 +85,7 @@ class CufftPlan:
                 )
             # This class *models cuFFT itself*; it is a vendor FFT, not a
             # consumer of the CPU vendor seam, so it does not route
-            # through the backend registry.
+            # through get_backend().
             return np.fft.fft(arr)  # reprolint: ignore[fft-registry-bypass]
         if arr.shape != (self.batch, self.n):
             raise ParameterError(

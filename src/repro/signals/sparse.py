@@ -144,6 +144,6 @@ def make_sparse_signal(
     spec = np.zeros(n, dtype=np.complex128)
     spec[locs] = vals
     # Signal synthesis defines the ground truth; keep it on the numpy
-    # oracle so test inputs are identical under every backend.
+    # oracle so test inputs stay put whatever FFT the seam runs.
     time = np.fft.ifft(spec)  # reprolint: ignore[fft-registry-bypass]
     return SparseSignal(time=time, locations=locs, values=vals)

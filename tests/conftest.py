@@ -1,9 +1,10 @@
 """Shared fixtures for the repro test suite.
 
-Plans are the expensive artifact (filter synthesis does an O(n log n) FFT),
-so a session-scoped cache hands identical plans to every test that asks for
-the same shape — tests must therefore treat plans as immutable (they are
-frozen dataclasses, so mutation raises anyway).
+Plans are the expensive artifact (filter synthesis runs a chirp-z
+transform of about ``w + 4n/B`` points over the ``w`` taps), so a
+session-scoped cache hands identical plans to every test that asks for the
+same shape — tests must therefore treat plans as immutable (they are frozen
+dataclasses, so mutation raises anyway).
 """
 
 from __future__ import annotations

@@ -3,11 +3,10 @@
 The executor's contract is exact equality with the serial fused engine
 (``locations``, ``values``, ``votes`` — no tolerance) for *every*
 execution mode (GIL-bound threads and the shared-memory process pool),
-worker count, shard size, and available process-default FFT backend, and
-float-tolerance agreement with the solo per-signal driver.  Any
-divergence means a stage leaked state across shard boundaries, the
-shared-memory descriptors didn't round-trip a plan exactly, or a
-backend isn't the pocketfft twin it claims to be.
+worker count and shard size, and float-tolerance agreement with the solo
+per-signal driver.  Any divergence means a stage leaked state across
+shard boundaries or the shared-memory descriptors didn't round-trip a
+plan exactly.
 """
 
 import numpy as np
@@ -15,11 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ShardedExecutor, sfft, sfft_batch_fused
-from repro.core.fft_backend import available_backends, set_default_backend
 from repro.signals import make_sparse_signal
 from tests.conftest import cached_plan
-
-_BACKENDS = available_backends()
 
 
 def _stack(n, k, S, seed):
@@ -39,12 +35,11 @@ def _shard_size(choice, S):
     seed=st.integers(min_value=0, max_value=2**16),
     workers=st.sampled_from([1, 2, 4]),
     shard_choice=st.sampled_from(["one", "three", "whole", "default"]),
-    backend=st.sampled_from(_BACKENDS),
     mode=st.sampled_from(["thread", "process"]),
 )
 @settings(max_examples=20, deadline=None)
 def test_executor_bit_identical_to_fused(
-    logn, k, S, seed, workers, shard_choice, backend, mode
+    logn, k, S, seed, workers, shard_choice, mode
 ):
     n = 1 << logn
     plan = cached_plan(n, k)
@@ -54,14 +49,8 @@ def test_executor_bit_identical_to_fused(
         shard_size=_shard_size(shard_choice, S),
         mode=mode,
     )
-    # The backend is a process setting: both runs resolve it, and process
-    # workers bind the parent's.
-    set_default_backend(backend)
-    try:
-        serial = sfft_batch_fused(X, plan)
-        sharded = ex.run(X, plan)
-    finally:
-        set_default_backend(None)
+    serial = sfft_batch_fused(X, plan)
+    sharded = ex.run(X, plan)
     assert len(sharded) == S
     for s in range(S):
         np.testing.assert_array_equal(

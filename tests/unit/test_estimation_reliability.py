@@ -17,7 +17,7 @@ The fix is a deterministic predicate, :func:`repro.core.median_reliable`
 decide per-frequency whether the design tolerance or the documented
 loose bound applies.
 
-Three later draws of the same property test miss even the loose bound:
+Four later draws of the same property test miss even the loose bound:
 the support is exact, but one coefficient the median cannot trust lands
 beyond 0.35 relative error.  They are pinned below as strict xfails, so
 the estimator fix that cleans colliding loops must also drop the markers.
@@ -107,6 +107,11 @@ def test_regression_1024_7_170_loose_bound():
 @_LOOSE_BOUND_MISS
 def test_regression_1024_7_27774_loose_bound():
     _assert_property_holds(1024, 7, 27774)  # f=701 off by 0.538
+
+
+@_LOOSE_BOUND_MISS
+def test_regression_1024_8_184939_loose_bound():
+    _assert_property_holds(1024, 8, 184939)  # f=171 off by 0.383, capped
 
 
 def test_clean_counts_isolated_support_is_fully_clean():

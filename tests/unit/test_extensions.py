@@ -61,6 +61,11 @@ class TestRealTransform:
     def test_rejects_complex_input(self):
         with pytest.raises(ParameterError):
             rsfft(np.exp(1j * np.arange(64)), 2)
+        # Empty input is invalid whatever its dtype, and says so before
+        # the imaginary part is looked at.
+        for empty in (np.array([], complex), np.array([], float)):
+            with pytest.raises(ParameterError, match="non-empty"):
+                rsfft(empty, 2)
 
     def test_dc_kept_real(self):
         n = 1 << 10

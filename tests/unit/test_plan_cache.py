@@ -67,22 +67,28 @@ class TestKeying:
         assert p1 is p2
         assert cache.stats()["hits"] == 1
 
-    def test_default_backend_is_part_of_the_key(self):
-        # Filter synthesis runs its FFTs through the backend, so a plan
-        # built under one backend must not be served after the process
-        # switches to another.
-        from repro.core.fft_backend import set_default_backend
+    def test_plan_less_miss_derives_parameters_once(self, monkeypatch):
+        # The key and the build share one derivation; a hit derives once
+        # too (it must, to resolve the overrides into the key).
+        import repro.core.plan as plan_mod
+        import repro.core.plan_cache as cache_mod
 
+        calls = []
+        real = cache_mod.derive_parameters
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cache_mod, "derive_parameters", counting)
+        monkeypatch.setattr(plan_mod, "derive_parameters", counting)
         cache = PlanCache()
-        try:
-            set_default_backend("numpy")
-            p1 = cache.get_or_make(N, K, seed=1)
-            set_default_backend("scipy")
-            p2 = cache.get_or_make(N, K, seed=1)
-        finally:
-            set_default_backend(None)
-        assert p1 is not p2
-        assert cache.stats()["misses"] == 2 and len(cache) == 2
+        cache.get_or_make(N, K, seed=1, loops=5)
+        assert len(calls) == 1
+        cache.get_or_make(N, K, seed=1, loops=5)
+        assert len(calls) == 2 and cache.stats()["hits"] == 1
+        cache.get_or_make(N, K, seed=np.random.default_rng(0))
+        assert len(calls) == 3
 
     def test_generator_seed_bypasses_cache(self):
         cache = PlanCache()
